@@ -55,9 +55,9 @@
 //! per-worker and sleep sets travel with each branch ticket.
 
 use crate::executor::{ExecSession, ExecutionResult, Executor, SurveyStatus, TraceMode, Workload};
-use crate::hb::HbTracker;
+use crate::hb::{step_label, HbTracker};
 use crate::machine::{ObjectSnapshot, SimObject};
-use crate::memory::{MemSnapshot, SharedMemory, StepLabel};
+use crate::memory::{MemSnapshot, SharedMemory};
 use crate::step::StepKind;
 use crate::telemetry::{ExploreObserver, NoObserver};
 use scl_spec::{ProcessId, SequentialSpec};
@@ -726,7 +726,7 @@ where
     /// Happens-before tracking over the current schedule prefix (source-
     /// DPOR modes; empty otherwise). Truncated in lockstep with `path`.
     hb: HbTracker,
-    /// Scratch buffer for [`HbTracker::races_of_last`].
+    /// Scratch buffer for the races [`HbTracker::push`] reports.
     race_buf: Vec<usize>,
     /// Race reversals targeting nodes at or above this engine's subtree
     /// entry (see [`EscapedSeed`]); always empty for whole-tree engines.
@@ -822,9 +822,9 @@ where
     /// Rebuilds the execution state for the first `depth` decisions of
     /// `self.path` by replaying them from tick 0. The monitor is restarted
     /// and re-observes the replayed prefix; under the source-DPOR modes the
-    /// happens-before stream is rebuilt alongside (without re-running race
-    /// detection — the replayed events' races were already processed when
-    /// those transitions first executed).
+    /// happens-before stream is rebuilt alongside (the same single pass
+    /// computes each replayed event's races, which are discarded — they
+    /// were already processed when those transitions first executed).
     fn replay_prefix(&mut self, depth: usize) {
         let source_dpor = self.config.reduction.is_source_dpor();
         self.path.truncate(depth);
@@ -860,58 +860,14 @@ where
             self.obs
                 .step_executed(StepKind::decode(self.path[i], n, cap), true);
             if source_dpor {
-                self.hb.push(self.step_label(self.path[i]));
+                let label = step_label(&self.session, self.path[i], n, cap);
+                self.race_buf.clear();
+                self.hb.push(label, &mut self.race_buf);
             }
         }
         self.stats.executed_ticks += depth as u64;
         self.stats.replayed_ticks += depth as u64;
         self.stats.executed_steps += self.mem.global_steps() - steps_before;
-    }
-
-    /// The exact label of the transition the session just executed.
-    fn step_label(&self, chosen: ProcessId) -> StepLabel {
-        use crate::executor::TickEmission;
-        let (invoked, responded) = match self.session.last_emission() {
-            TickEmission::Invoked { .. } => (true, false),
-            TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
-            // A crash emits no trace event, but the strict crashed-pending
-            // verdict is sensitive to its order against other processes'
-            // invocations, so the lin-preserving modes must treat it like a
-            // response barrier.
-            TickEmission::Crashed { .. } => (false, true),
-            // A restart is a conservative barrier like a crash, and a
-            // recovery completion is a genuine response event under the
-            // durable/recoverable closures (it may resolve — or forever
-            // abandon — the interrupted operation).
-            TickEmission::Restarted { .. } | TickEmission::Recovered { .. } => (false, true),
-            // Network transitions move no operation event; their ordering
-            // effect is carried entirely by their footprint (inbox/replica
-            // writes, or Unknown for reply-enqueuing deliveries).
-            TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
-            TickEmission::None => (false, false),
-        };
-        // Crash transitions are scheduled as the pseudo-process `n + p`;
-        // their label belongs to the *real* process `p`, which makes a
-        // crash dependent with every step of the same process for free.
-        // Network transitions (`2n + …`) are labelled with the *owner* of
-        // the delivered/dropped message — the client whose operation the
-        // message belongs to.
-        let n = self.workload.processes();
-        let proc = match self.session.last_emission() {
-            TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
-            _ => match StepKind::decode(chosen, n, self.mem.net_cap()) {
-                StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
-                // Unreachable: a network transition always emits
-                // Delivered/Dropped, matched above.
-                StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
-            },
-        };
-        StepLabel {
-            proc,
-            footprint: self.session.last_step_footprint(),
-            invoked,
-            responded,
-        }
     }
 
     /// Executes one scheduling decision and applies the sleep-set wake rule:
@@ -945,7 +901,7 @@ where
         self.obs.step_executed(kind, false);
         if self.cur_sleep != 0 {
             let fp = self.session.last_step_footprint();
-            let label = self.step_label(chosen);
+            let label = step_label(&self.session, chosen, n, cap);
             let lin = self.config.reduction.preserves_lin();
             // An executed *restart* wakes every sleeper. A restart re-enables
             // a disabled process, and the commuted order — run the sleeping
@@ -989,7 +945,7 @@ where
                     // process, and — under the lin-preserving modes — with
                     // other processes' invocations (the strict
                     // crashed-pending verdict orders crashes against
-                    // invocations; see [`StepLabel`] above).
+                    // invocations; see [`crate::hb::step_label`]).
                     i - n == label.proc.index() || (lin && label.invoked)
                 } else {
                     let q = ProcessId(i);
@@ -1021,10 +977,11 @@ where
     /// branch node lies at or above this engine's subtree entry are
     /// collected as [`EscapedSeed`]s for the parallel coordinator.
     fn observe_races(&mut self, chosen: ProcessId) {
-        self.hb.push(self.step_label(chosen));
+        let n = self.workload.processes();
+        let label = step_label(&self.session, chosen, n, self.mem.net_cap());
         let mut races = std::mem::take(&mut self.race_buf);
         races.clear();
-        self.hb.races_of_last(&mut races);
+        self.hb.push(label, &mut races);
         for &i in &races {
             self.stats.races += 1;
             let mut seeded = false;
@@ -1119,7 +1076,21 @@ where
     fn drive(&mut self) -> Leaf {
         let n = self.workload.processes();
         let cap = self.mem.net_cap();
+        // Fault transitions on the current path. The path only grows inside
+        // this loop, so each entry is tallied once, at the first decision
+        // point after it executed.
+        let (mut crashes, mut drops, mut restarts) = (0, 0, 0);
+        let mut tallied = 0;
         loop {
+            for &p in &self.path[tallied..] {
+                match StepKind::decode(p, n, cap) {
+                    StepKind::Crash(_) => crashes += 1,
+                    StepKind::Drop(_) => drops += 1,
+                    StepKind::Restart(_) => restarts += 1,
+                    StepKind::Step(_) | StepKind::Deliver(_) => {}
+                }
+            }
+            tallied = self.path.len();
             match self
                 .executor
                 .survey(&mut self.session, &self.mem, self.workload)
@@ -1130,13 +1101,7 @@ where
             self.enabled_buf.clear();
             self.enabled_buf.extend_from_slice(self.session.enabled());
             let sleep = self.cur_sleep;
-            let crashes_left = self.config.max_crashes != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Crash(_)))
-                    .count()
-                    < self.config.max_crashes;
+            let crashes_left = crashes < self.config.max_crashes;
             let crash_eligible = self.config.crash_eligible;
             // Crash alternatives awake at this node. A crash of `p` is a
             // valid alternative even while the *real* `p` is asleep: the
@@ -1160,13 +1125,7 @@ where
             // and crashes, drops participate in sleep sets — their precise
             // write sets ([`crate::memory::NetWrites`]) make the wake rule
             // honest for network transitions.
-            let drops_left = self.config.max_drops != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Drop(_)))
-                    .count()
-                    < self.config.max_drops;
+            let drops_left = drops < self.config.max_drops;
             let mut drop_alts: Vec<ProcessId> = Vec::new();
             if drops_left {
                 for p in &self.enabled_buf {
@@ -1184,13 +1143,7 @@ where
             // session's live crash mask; a restart only branches at nodes
             // where something else is enabled (an all-crashed execution is
             // already complete).
-            let recoveries_left = self.config.max_recoveries != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Restart(_)))
-                    .count()
-                    < self.config.max_recoveries;
+            let recoveries_left = restarts < self.config.max_recoveries;
             let mut restart_alts: Vec<ProcessId> = Vec::new();
             if recoveries_left {
                 let mut rest = self.session.crashed_now() & self.config.recovery_eligible;

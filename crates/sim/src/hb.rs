@@ -34,9 +34,39 @@
 //! wakeup state travels with prefix-resume checkpoints exactly like sleep
 //! sets do. Storage is flat (one `Vec` of labels, one stride-`n` `Vec` of
 //! clock entries) and reused across the whole exploration.
+//!
+//! # Cost per tick
+//!
+//! [`HbTracker::push`] computes the new event's clock *and* its reversible
+//! races in one backward pass over the prefix, from event `j − 1` down to
+//! `0`, keeping the running join `J` of the clocks merged so far (it is the
+//! new event's clock row under construction). An event `i` with
+//! `J[proc(i)] ≥ clock(i)[proc(i)]` is **covered** and skipped; any other
+//! event is tested for dependence with `j`, and a dependent one is joined
+//! into `J` and is a race iff its process differs from `j`'s. A push costs
+//! `O(j)` label/clock probes plus `O(n)` per joined event; no pair is
+//! rescanned for a transitive witness, which makes the direct reading of
+//! the race definition `O(j²)` per tick.
+//! [`HbTracker::race_initials`] costs `O((j − i) + n²)` per race.
+//!
+//! Skipping covered events is exact. `J[proc(i)] ≥ clock(i)[proc(i)]`
+//! means some already-joined event `k` (with `i < k < j` and `k` dependent
+//! with `j`) has `i → k`. Then `clock(i) ≤ clock(k) ≤ J` entry-wise, so
+//! joining `clock(i)` would change nothing, and `i → k → j` makes `(i, j)`
+//! transitive, not a reversible race. Conversely, when `i` is reached
+//! uncovered, no event `k` in `(i, j)` has `i → k → j`: `k → j` means `k`
+//! happens-before some event `m ≥ k` that is directly dependent with `j`,
+//! and `m` was either joined or covered by a joined event, so `i → k → m`
+//! would already have covered `i`. The pass visits events in descending
+//! order; the races are reported ascending, the order the explorer seeds
+//! backtrack points in.
 
+use crate::executor::{ExecSession, TickEmission};
 use crate::memory::{Footprint, StepLabel};
-use scl_spec::ProcessId;
+use crate::step::StepKind;
+use scl_spec::{ProcessId, SequentialSpec};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 /// The bit of process `p` in an initials/backtrack mask (processes are
 /// bounded to 64 by the reduced explorer modes).
@@ -44,6 +74,62 @@ use scl_spec::ProcessId;
 fn bit(p: ProcessId) -> u64 {
     debug_assert!(p.index() < 64);
     1u64 << p.index()
+}
+
+/// The exact label of the transition `session` just executed, scheduled as
+/// the raw pseudo-process id `chosen` over `n` processes and a network of
+/// `cap` slots. The exploration engine and [`crate::replay`] both record
+/// this label, so replayed race pairs match the explored ones.
+pub(crate) fn step_label<S, V>(
+    session: &ExecSession<S, V>,
+    chosen: ProcessId,
+    n: usize,
+    cap: usize,
+) -> StepLabel
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+{
+    let (invoked, responded) = match session.last_emission() {
+        TickEmission::Invoked { .. } => (true, false),
+        TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
+        // A crash emits no trace event, but the strict crashed-pending
+        // verdict is sensitive to its order against other processes'
+        // invocations, so the lin-preserving modes must treat it like a
+        // response barrier.
+        TickEmission::Crashed { .. } => (false, true),
+        // A restart is a conservative barrier like a crash, and a
+        // recovery completion is a genuine response event under the
+        // durable/recoverable closures (it may resolve — or forever
+        // abandon — the interrupted operation).
+        TickEmission::Restarted { .. } | TickEmission::Recovered { .. } => (false, true),
+        // Network transitions move no operation event; their ordering
+        // effect is carried entirely by their footprint (inbox/replica
+        // writes, or Unknown for reply-enqueuing deliveries).
+        TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
+        TickEmission::None => (false, false),
+    };
+    // Crash transitions are scheduled as the pseudo-process `n + p`; their
+    // label belongs to the *real* process `p`, which makes a crash
+    // dependent with every step of the same process for free. Network
+    // transitions (`2n + …`) are labelled with the *owner* of the
+    // delivered/dropped message — the client whose operation the message
+    // belongs to.
+    let proc = match session.last_emission() {
+        TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
+        _ => match StepKind::decode(chosen, n, cap) {
+            StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
+            // Unreachable: a network transition always emits
+            // Delivered/Dropped, matched above.
+            StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
+        },
+    };
+    StepLabel {
+        proc,
+        footprint: session.last_step_footprint(),
+        invoked,
+        responded,
+    }
 }
 
 /// Happens-before tracking over one executed schedule prefix. See the
@@ -111,24 +197,42 @@ impl HbTracker {
         self.clocks[i * self.procs + p.index()]
     }
 
-    /// Records one executed transition, computing its vector clock as the
-    /// join of every dependent predecessor's clock (program order included)
-    /// plus its own per-process tick.
-    pub fn push(&mut self, label: StepLabel) {
+    /// Records one executed transition `j` and appends to `races`, in
+    /// ascending order, every `i` such that `(i, j)` is a reversible race:
+    /// different processes, dependent, and no intermediate event `k` with
+    /// `i → k → j`. The event's vector clock is the join of every dependent
+    /// predecessor's clock (program order included) plus its own
+    /// per-process tick. One backward pass computes both; see the
+    /// [module documentation](self) for why skipping covered events is
+    /// exact.
+    pub fn push(&mut self, label: StepLabel, races: &mut Vec<usize>) {
         debug_assert!(label.proc.index() < self.procs);
+        let n = self.procs;
         let j = self.labels.len();
-        let base = j * self.procs;
-        self.clocks.resize(base + self.procs, 0);
-        for i in 0..j {
-            if self.labels[i].dependent(label, self.lin_barriers) {
-                let (head, tail) = self.clocks.split_at_mut(base);
-                let src = &head[i * self.procs..(i + 1) * self.procs];
-                for (dst, &s) in tail.iter_mut().zip(src) {
-                    *dst = (*dst).max(s);
-                }
+        let base = j * n;
+        self.clocks.resize(base + n, 0);
+        let (prefix, join) = self.clocks.split_at_mut(base);
+        let first_race = races.len();
+        for (i, (li, row)) in self
+            .labels
+            .iter()
+            .zip(prefix.chunks_exact(n))
+            .enumerate()
+            .rev()
+        {
+            let pi = li.proc.index();
+            if join[pi] >= row[pi] || !li.dependent(label, self.lin_barriers) {
+                continue;
+            }
+            for (dst, &src) in join.iter_mut().zip(row) {
+                *dst = (*dst).max(src);
+            }
+            if li.proc != label.proc {
+                races.push(i);
             }
         }
-        self.clocks[base + label.proc.index()] += 1;
+        races[first_race..].reverse();
+        join[label.proc.index()] += 1;
         self.labels.push(label);
     }
 
@@ -137,27 +241,6 @@ impl HbTracker {
         debug_assert!(i <= j);
         let p = self.labels[i].proc;
         self.clock(j, p) >= self.clock(i, p)
-    }
-
-    /// Appends to `out` (ascending) the indices `i` such that `(i, last)` is
-    /// a reversible race: different processes, dependent, and no
-    /// intermediate event `k` with `i → k → last`.
-    pub fn races_of_last(&self, out: &mut Vec<usize>) {
-        let Some(j) = self.labels.len().checked_sub(1) else {
-            return;
-        };
-        let lj = self.labels[j];
-        for i in 0..j {
-            let li = self.labels[i];
-            if li.proc == lj.proc || !li.dependent(lj, self.lin_barriers) {
-                continue;
-            }
-            let transitive =
-                (i + 1..j).any(|k| self.happens_before(i, k) && self.happens_before(k, j));
-            if !transitive {
-                out.push(i);
-            }
-        }
     }
 
     /// A fingerprint of the happens-before *class* of the recorded
@@ -216,33 +299,51 @@ impl HbTracker {
     }
 
     /// The weak initials of `v = notdep(i)·last` for a race `(i, last)`
-    /// reported by [`Self::races_of_last`], as a process bit mask: the
-    /// events after `i` that do not happen-after `i`, followed by the last
-    /// event; a process is an initial iff its first event in `v` has no
+    /// reported by [`Self::push`], as a process bit mask: the events after
+    /// `i` that do not happen-after `i`, followed by the last event; a
+    /// process is an initial iff its first event in `v` has no
     /// happens-before predecessor inside `v`. Exploring any one initial
     /// from the prefix before `i` realises the race reversal.
+    ///
+    /// Only each process's *first event after `i`* can be such a
+    /// predecessor: if `l` in `v` happens-before `m`, the first event `f`
+    /// of `l`'s process after `i` satisfies `f → l → m`, and `f` is in `v`
+    /// too (were `i → f`, program order would give `i → l`). So one forward
+    /// scan that keeps those first events suffices.
     pub fn race_initials(&self, i: usize) -> u64 {
+        let n = self.procs;
         let j = self.labels.len() - 1;
-        let in_v = |k: usize| k == j || !self.happens_before(i, k);
+        let pi = self.labels[i].proc.index();
+        let ci = self.clocks[i * n + pi];
+        // Processes whose first event after `i` has been scanned.
+        let mut seen = 0u64;
+        // The scanned first events that lie in `v`, as (process, own clock
+        // entry) pairs: the only candidate predecessors.
+        let mut firsts = [(0usize, 0u32); 64];
+        let mut n_firsts = 0;
+        // Processes whose first event in `v` has been classified.
+        let mut decided = 0u64;
         let mut initials = 0u64;
-        let mut preceded = 0u64;
-        for m in i + 1..=j {
-            if !in_v(m) {
-                continue;
+        for ((m, lm), row) in (i + 1..=j)
+            .zip(&self.labels[i + 1..=j])
+            .zip(self.clocks[(i + 1) * n..].chunks_exact(n))
+        {
+            let pm = lm.proc.index();
+            let b = bit(lm.proc);
+            let in_v = m == j || row[pi] < ci;
+            if in_v && decided & b == 0 {
+                decided |= b;
+                let has_pred = firsts[..n_firsts].iter().any(|&(q, c)| row[q] >= c);
+                if !has_pred {
+                    initials |= b;
+                }
             }
-            let pm = self.labels[m].proc;
-            if preceded & bit(pm) != 0 {
-                continue;
-            }
-            let has_pred = (i + 1..m).any(|l| in_v(l) && self.happens_before(l, m));
-            if has_pred {
-                // Neither this event nor any later event of the same
-                // process can be moved to the front of `v`.
-                preceded |= bit(pm);
-            } else if initials & bit(pm) == 0 {
-                initials |= bit(pm);
-                // Only the first event of a process can qualify it.
-                preceded |= bit(pm);
+            if seen & b == 0 {
+                seen |= b;
+                if in_v {
+                    firsts[n_firsts] = (pm, row[pm]);
+                    n_firsts += 1;
+                }
             }
         }
         initials
@@ -252,7 +353,8 @@ impl HbTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{Footprint, RegId};
+    use crate::memory::{Footprint, NetWrites, RegId};
+    use crate::rng::SplitMix64;
 
     fn p(i: usize) -> ProcessId {
         ProcessId(i)
@@ -267,18 +369,197 @@ mod tests {
         }
     }
 
+    /// Pushes `label`, returning the races it closes.
+    fn push(hb: &mut HbTracker, label: StepLabel) -> Vec<usize> {
+        let mut races = Vec::new();
+        hb.push(label, &mut races);
+        races
+    }
+
+    /// The definitions transcribed directly, in quadratic time: the
+    /// reference the property test compares the tracker against. Clocks
+    /// join every dependent predecessor, races rescan the prefix for a
+    /// transitive witness, and initials rescan `v` for a predecessor.
+    struct Reference {
+        procs: usize,
+        lin_barriers: bool,
+        labels: Vec<StepLabel>,
+        clocks: Vec<u32>,
+    }
+
+    impl Reference {
+        fn new(procs: usize, lin_barriers: bool) -> Self {
+            Reference {
+                procs,
+                lin_barriers,
+                labels: Vec::new(),
+                clocks: Vec::new(),
+            }
+        }
+
+        fn truncate(&mut self, len: usize) {
+            self.labels.truncate(len);
+            self.clocks.truncate(len * self.procs);
+        }
+
+        fn clock(&self, i: usize, p: ProcessId) -> u32 {
+            self.clocks[i * self.procs + p.index()]
+        }
+
+        fn push(&mut self, label: StepLabel) {
+            let j = self.labels.len();
+            let base = j * self.procs;
+            self.clocks.resize(base + self.procs, 0);
+            for i in 0..j {
+                if self.labels[i].dependent(label, self.lin_barriers) {
+                    let (head, tail) = self.clocks.split_at_mut(base);
+                    let src = &head[i * self.procs..(i + 1) * self.procs];
+                    for (dst, &s) in tail.iter_mut().zip(src) {
+                        *dst = (*dst).max(s);
+                    }
+                }
+            }
+            self.clocks[base + label.proc.index()] += 1;
+            self.labels.push(label);
+        }
+
+        fn happens_before(&self, i: usize, j: usize) -> bool {
+            let p = self.labels[i].proc;
+            self.clock(j, p) >= self.clock(i, p)
+        }
+
+        fn races_of_last(&self) -> Vec<usize> {
+            let j = self.labels.len() - 1;
+            let lj = self.labels[j];
+            (0..j)
+                .filter(|&i| {
+                    let li = self.labels[i];
+                    li.proc != lj.proc
+                        && li.dependent(lj, self.lin_barriers)
+                        && !(i + 1..j)
+                            .any(|k| self.happens_before(i, k) && self.happens_before(k, j))
+                })
+                .collect()
+        }
+
+        fn race_initials(&self, i: usize) -> u64 {
+            let j = self.labels.len() - 1;
+            let in_v = |k: usize| k == j || !self.happens_before(i, k);
+            let mut initials = 0u64;
+            let mut preceded = 0u64;
+            for m in i + 1..=j {
+                if !in_v(m) {
+                    continue;
+                }
+                let pm = self.labels[m].proc;
+                if preceded & bit(pm) != 0 {
+                    continue;
+                }
+                let has_pred = (i + 1..m).any(|l| in_v(l) && self.happens_before(l, m));
+                if !has_pred {
+                    initials |= bit(pm);
+                }
+                preceded |= bit(pm);
+            }
+            initials
+        }
+    }
+
+    /// A random label over `n` processes and a handful of registers: every
+    /// footprint kind, with invoke/response flags on some pure steps.
+    fn random_label(rng: &mut SplitMix64, n: usize) -> StepLabel {
+        let reg = |rng: &mut SplitMix64| RegId(rng.next_below(4));
+        let footprint = match rng.next_below(9) {
+            0 | 1 => Footprint::Pure,
+            2 | 3 => Footprint::Read(reg(rng)),
+            4 | 5 => Footprint::Write(reg(rng)),
+            6 => Footprint::Unknown,
+            _ => {
+                let regs: Vec<RegId> = (0..1 + rng.next_below(3)).map(|_| reg(rng)).collect();
+                Footprint::Net(NetWrites::new(&regs))
+            }
+        };
+        let (invoked, responded) = match rng.next_below(4) {
+            0 => (true, false),
+            1 => (false, true),
+            _ => (false, false),
+        };
+        StepLabel {
+            proc: p(rng.next_below(n)),
+            footprint,
+            invoked,
+            responded,
+        }
+    }
+
+    #[test]
+    fn single_pass_matches_the_quadratic_reference() {
+        let mut rng = SplitMix64::new(0x5eed_4b1d);
+        let mut events = 0usize;
+        let mut races_seen = 0usize;
+        for stream in 0..1_000 {
+            let n = 1 + stream % 8;
+            let lin = stream % 2 == 1;
+            let mut hb = HbTracker::new(n, lin);
+            let mut reference = Reference::new(n, lin);
+            let len = 1 + rng.next_below(40);
+            let mut pushed = 0;
+            while pushed < len {
+                // Occasionally backtrack, as the explorer does, and keep
+                // pushing on the shortened prefix.
+                if hb.len() > 2 && rng.next_below(10) == 0 {
+                    let keep = rng.next_below(hb.len());
+                    hb.truncate(keep);
+                    reference.truncate(keep);
+                }
+                let label = random_label(&mut rng, n);
+                let races = push(&mut hb, label);
+                reference.push(label);
+                pushed += 1;
+                events += 1;
+                let j = hb.len() - 1;
+                for q in 0..n {
+                    assert_eq!(
+                        hb.clock(j, p(q)),
+                        reference.clock(j, p(q)),
+                        "stream {stream}: clock of event {j}, process {q}"
+                    );
+                }
+                assert_eq!(
+                    races,
+                    reference.races_of_last(),
+                    "stream {stream}: races of event {j}"
+                );
+                races_seen += races.len();
+                // Initials are defined for any earlier event, not just the
+                // racing ones; compare them all.
+                for i in 0..j {
+                    assert_eq!(
+                        hb.race_initials(i),
+                        reference.race_initials(i),
+                        "stream {stream}: initials of ({i}, {j})"
+                    );
+                }
+            }
+        }
+        assert!(
+            events > 10_000 && races_seen > 5_000,
+            "{events} events, {races_seen} races"
+        );
+    }
+
     #[test]
     fn unknown_footprints_are_ordered_with_everything() {
         let mut hb = HbTracker::new(3, false);
-        hb.push(step(0, Footprint::Unknown));
-        hb.push(step(1, Footprint::Pure));
-        hb.push(step(2, Footprint::Read(RegId(0))));
+        push(&mut hb, step(0, Footprint::Unknown));
+        push(&mut hb, step(1, Footprint::Pure));
+        push(&mut hb, step(2, Footprint::Read(RegId(0))));
         // Unknown is dependent with Pure and with any access, so event 0
         // happens-before both later events...
         assert!(hb.happens_before(0, 1));
         assert!(hb.happens_before(0, 2));
         // ...and every subsequent Unknown event observes the full history.
-        hb.push(step(0, Footprint::Unknown));
+        push(&mut hb, step(0, Footprint::Unknown));
         assert!(hb.happens_before(1, 3));
         assert!(hb.happens_before(2, 3));
         assert_eq!(hb.clock(3, p(0)), 2);
@@ -290,9 +571,9 @@ mod tests {
     fn per_process_counters_stay_concurrent_on_disjoint_registers() {
         let (a, b) = (RegId(0), RegId(1));
         let mut hb = HbTracker::new(2, false);
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(1, Footprint::Write(b)));
+        push(&mut hb, step(0, Footprint::Write(a)));
+        push(&mut hb, step(0, Footprint::Write(a)));
+        let races = push(&mut hb, step(1, Footprint::Write(b)));
         // p1's event is concurrent with both of p0's: its clock never saw
         // p0's counter, and no happens-before edge exists in either
         // direction.
@@ -304,8 +585,6 @@ mod tests {
         assert!(hb.happens_before(0, 1));
         assert_eq!(hb.clock(1, p(0)), 2);
         // And no races: the steps commute.
-        let mut races = Vec::new();
-        hb.races_of_last(&mut races);
         assert!(races.is_empty());
     }
 
@@ -315,19 +594,27 @@ mod tests {
         // event 1, so the reversible races are exactly (0, 1) and (1, 2).
         let a = RegId(0);
         let mut hb = HbTracker::new(3, false);
-        let mut races = Vec::new();
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(1, Footprint::Write(a)));
-        hb.races_of_last(&mut races);
-        assert_eq!(races, vec![0]);
-        races.clear();
-        hb.push(step(2, Footprint::Write(a)));
-        hb.races_of_last(&mut races);
+        push(&mut hb, step(0, Footprint::Write(a)));
+        assert_eq!(push(&mut hb, step(1, Footprint::Write(a))), vec![0]);
         assert_eq!(
-            races,
+            push(&mut hb, step(2, Footprint::Write(a))),
             vec![1],
             "the (0, 2) race must be transitive, not reversible"
         );
+    }
+
+    #[test]
+    fn races_are_reported_in_ascending_order() {
+        // p0: W(a); p1: W(b); p2: W(c); p3: one Unknown step. The three
+        // writes are mutually independent, so each races with the last
+        // event directly.
+        let mut hb = HbTracker::new(4, false);
+        for q in 0..3 {
+            push(&mut hb, step(q, Footprint::Write(RegId(q))));
+        }
+        let mut races = vec![usize::MAX];
+        hb.push(step(3, Footprint::Unknown), &mut races);
+        assert_eq!(races, vec![usize::MAX, 0, 1, 2], "appended, ascending");
     }
 
     #[test]
@@ -336,25 +623,19 @@ mod tests {
         // Both p1's and p2's first events are front-movable.
         let (a, b) = (RegId(0), RegId(1));
         let mut hb = HbTracker::new(3, false);
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(1, Footprint::Write(b)));
-        hb.push(step(2, Footprint::Read(a)));
-        let mut races = Vec::new();
-        hb.races_of_last(&mut races);
-        assert_eq!(races, vec![0]);
+        push(&mut hb, step(0, Footprint::Write(a)));
+        push(&mut hb, step(1, Footprint::Write(b)));
+        assert_eq!(push(&mut hb, step(2, Footprint::Read(a))), vec![0]);
         assert_eq!(hb.race_initials(0), 0b110);
 
         // p0: W(a); p1: W(b); p2: R(b); p2: R(a). Race (0, 3);
         // v = [W(b), R(b), R(a)] and p2's first event in v (the R(b))
         // happens-after p1's W(b), so only p1 is an initial.
         let mut hb = HbTracker::new(3, false);
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(1, Footprint::Write(b)));
-        hb.push(step(2, Footprint::Read(b)));
-        hb.push(step(2, Footprint::Read(a)));
-        let mut races = Vec::new();
-        hb.races_of_last(&mut races);
-        assert_eq!(races, vec![0]);
+        push(&mut hb, step(0, Footprint::Write(a)));
+        push(&mut hb, step(1, Footprint::Write(b)));
+        push(&mut hb, step(2, Footprint::Read(b)));
+        assert_eq!(push(&mut hb, step(2, Footprint::Read(a))), vec![0]);
         assert_eq!(hb.race_initials(0), 0b010);
     }
 
@@ -362,21 +643,24 @@ mod tests {
     fn invoke_commit_barriers_race_only_with_lin_barriers() {
         let mk = |lin| {
             let mut hb = HbTracker::new(2, lin);
-            hb.push(StepLabel {
-                proc: p(0),
-                footprint: Footprint::Pure,
-                invoked: false,
-                responded: true,
-            });
-            hb.push(StepLabel {
-                proc: p(1),
-                footprint: Footprint::Pure,
-                invoked: true,
-                responded: false,
-            });
-            let mut races = Vec::new();
-            hb.races_of_last(&mut races);
-            races
+            push(
+                &mut hb,
+                StepLabel {
+                    proc: p(0),
+                    footprint: Footprint::Pure,
+                    invoked: false,
+                    responded: true,
+                },
+            );
+            push(
+                &mut hb,
+                StepLabel {
+                    proc: p(1),
+                    footprint: Footprint::Pure,
+                    invoked: true,
+                    responded: false,
+                },
+            )
         };
         assert!(mk(false).is_empty(), "plain mode: pure steps never race");
         assert_eq!(mk(true), vec![0], "lin mode: response vs invocation races");
@@ -385,38 +669,37 @@ mod tests {
     #[test]
     fn fingerprint_is_mazurkiewicz_invariant() {
         let (a, b) = (RegId(0), RegId(1));
+        let trace = |steps: &[(usize, Footprint)]| {
+            let mut hb = HbTracker::new(2, false);
+            for &(q, fp) in steps {
+                push(&mut hb, step(q, fp));
+            }
+            hb.fingerprint()
+        };
         // Independent steps commute: the two interleavings of W(a) and W(b)
         // are the same trace, so they fingerprint identically.
-        let mut one = HbTracker::new(2, false);
-        one.push(step(0, Footprint::Write(a)));
-        one.push(step(1, Footprint::Write(b)));
-        let mut two = HbTracker::new(2, false);
-        two.push(step(1, Footprint::Write(b)));
-        two.push(step(0, Footprint::Write(a)));
-        assert_eq!(one.fingerprint(), two.fingerprint());
+        let one = trace(&[(0, Footprint::Write(a)), (1, Footprint::Write(b))]);
+        let two = trace(&[(1, Footprint::Write(b)), (0, Footprint::Write(a))]);
+        assert_eq!(one, two);
 
         // Dependent steps do not: swapping two writes to the same register
         // changes the dependence structure's orientation.
-        let mut three = HbTracker::new(2, false);
-        three.push(step(0, Footprint::Write(a)));
-        three.push(step(1, Footprint::Write(a)));
-        let mut four = HbTracker::new(2, false);
-        four.push(step(1, Footprint::Write(a)));
-        four.push(step(0, Footprint::Write(a)));
-        assert_ne!(three.fingerprint(), four.fingerprint());
-        assert_ne!(one.fingerprint(), three.fingerprint());
+        let three = trace(&[(0, Footprint::Write(a)), (1, Footprint::Write(a))]);
+        let four = trace(&[(1, Footprint::Write(a)), (0, Footprint::Write(a))]);
+        assert_ne!(three, four);
+        assert_ne!(one, three);
     }
 
     #[test]
     fn truncate_rewinds_the_event_stream() {
         let a = RegId(0);
         let mut hb = HbTracker::new(2, false);
-        hb.push(step(0, Footprint::Write(a)));
-        hb.push(step(1, Footprint::Write(a)));
+        push(&mut hb, step(0, Footprint::Write(a)));
+        push(&mut hb, step(1, Footprint::Write(a)));
         hb.truncate(1);
         assert_eq!(hb.len(), 1);
         // Re-pushing after a truncation recomputes the clock fresh.
-        hb.push(step(1, Footprint::Read(a)));
+        push(&mut hb, step(1, Footprint::Read(a)));
         assert_eq!(hb.clock(1, p(1)), 1);
         assert!(hb.happens_before(0, 1));
         hb.clear();

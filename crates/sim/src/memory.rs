@@ -200,7 +200,7 @@ pub struct NetWrites {
 }
 
 impl NetWrites {
-    fn new(regs: &[RegId]) -> Self {
+    pub(crate) fn new(regs: &[RegId]) -> Self {
         debug_assert!(!regs.is_empty() && regs.len() <= 4);
         let mut a = [regs[0]; 4];
         a[..regs.len()].copy_from_slice(regs);
