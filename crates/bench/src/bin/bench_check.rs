@@ -12,14 +12,13 @@
 //!   history) and `incremental` (suffix-only re-checking via the frontier
 //!   states memoised at branch points). Checker work is reported as
 //!   *checker states expanded*, the machine-independent cost metric.
-//! * **reduction** — schedule counts of `Off` vs `SleepSets` vs
-//!   `SleepSetsLinPreserving` vs the race-driven `SourceDpor` /
-//!   `SourceDporLinPreserving` on n=2 (exhaustive) and of the reduced modes
-//!   on the full n=3 space: what the invoke/commit barriers cost in lost
-//!   pruning, that they still keep the n=3 space tractable, and that the
-//!   source-DPOR modes close part of that gap (asserted: never more
-//!   representatives than the eager modes, strictly fewer on the n=2
-//!   lin-preserving space).
+//! * **reduction** — schedule counts of `Off` vs the eager
+//!   `SleepSetsLinPreserving` vs the race-driven `SourceDporLinPreserving`
+//!   on n=2 (exhaustive) and of the reduced modes on the full n=3 space:
+//!   that the invoke/commit-barrier reductions keep the n=3 space
+//!   tractable, and that source DPOR closes part of the gap the eager
+//!   may-respond barrier leaves (asserted: never more representatives than
+//!   the eager mode, strictly fewer on n=2).
 //! * **scenario_suite** — the whole `scl-check` registry (crash scenarios
 //!   included since PR 6) through the unified engine, sequentially
 //!   (`workers = 1`) and with the parallel monitor-carrying driver
@@ -28,28 +27,28 @@
 //!   container cannot show a parallel win).
 //! * **crash_exploration** — the PR 6 group: the n=2 speculative-TAS space
 //!   under a 1-crash budget (`max_crashes = 1`, everyone eligible) in all
-//!   five reduction modes. Crash points multiply the schedule space; the
+//!   three reduction modes. Crash points multiply the schedule space; the
 //!   asserted bars are that every mode still exhausts it, that the
-//!   race-driven modes never cost representatives over the eager ones, and
+//!   race-driven mode never costs representatives over the eager one, and
 //!   that the crashy space is strictly larger than the crash-free one
 //!   (i.e. crash branching is actually happening).
 //! * **network_exploration** — the PR 7 group: a one-writer ABD register
 //!   emulation (2 replicas, majority quorum, retry budget 1) whose message
 //!   deliveries and drops are scheduled transitions, enumerated under a
-//!   1-crash + 1-drop fault budget in all five reduction modes, plus the
+//!   1-crash + 1-drop fault budget in all three reduction modes, plus the
 //!   crash-only baseline. Asserted bars on full runs: every mode exhausts
 //!   the lossy space, the lossy space is strictly larger than the
 //!   crash-only one (drop branching is actually happening), and the
-//!   race-driven modes never cost representatives over the eager ones.
+//!   race-driven mode never costs representatives over the eager one.
 //! * **recovery_exploration** — the PR 10 group: the n=2 recoverable-TAS
 //!   space under a 1-crash + 1-restart budget (`max_recoveries = 1`,
-//!   everyone eligible) in all five reduction modes, plus the crash-only
+//!   everyone eligible) in all three reduction modes, plus the crash-only
 //!   baseline (restarts off). Restart points multiply the schedule space
 //!   again and every restart runs the object's recovery routine. Asserted
 //!   bars on full runs: every mode exhausts the recovery space, the
 //!   recovery space is strictly larger than the crash-only one (restart
-//!   branching is actually happening), and the race-driven modes never
-//!   cost representatives over the eager ones.
+//!   branching is actually happening), and the race-driven mode never
+//!   costs representatives over the eager one.
 //! * **observer** — the PR 8 group: the exhaustive n=2 speculative-TAS
 //!   space driven three ways — `plain_entry` (the unobserved entry point),
 //!   `observer_off` (the observed entry point with [`NoObserver`], whose
@@ -551,9 +550,7 @@ fn main() {
             n2_cap,
             &[
                 Reduction::Off,
-                Reduction::SleepSets,
                 Reduction::SleepSetsLinPreserving,
-                Reduction::SourceDpor,
                 Reduction::SourceDporLinPreserving,
             ][..],
         ),
@@ -562,9 +559,7 @@ fn main() {
             3usize,
             n3_cap,
             &[
-                Reduction::SleepSets,
                 Reduction::SleepSetsLinPreserving,
-                Reduction::SourceDpor,
                 Reduction::SourceDporLinPreserving,
             ][..],
         ),
@@ -583,9 +578,7 @@ fn main() {
     println!("-- crash exploration (n=2, 1-crash budget, outcome-only check) --");
     let crash_modes = [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ];
     let mut crash = Vec::new();
@@ -602,9 +595,7 @@ fn main() {
     println!("-- recovery exploration (n=2 recoverable TAS, 1-crash + 1-restart budget) --");
     let recovery_modes = [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ];
     let mut recovery = Vec::new();
@@ -631,9 +622,7 @@ fn main() {
     println!("-- network exploration (1-writer ABD, 1-crash + 1-drop budget) --");
     let network_modes = [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ];
     let mut network = Vec::new();
@@ -771,7 +760,7 @@ fn main() {
         )],
     );
     let json = format!(
-        "{{\n  \"description\": \"Per-schedule linearizability checking (PR 4 groups + the PR 6 crash_exploration group): the LinMonitor bridge records the invoke/commit projection incrementally (works under MetricsOnly); incremental = suffix-only Wing-Gong re-checking via frontier states memoised at branch points and interned Copy configs, from_scratch = full Wing-Gong per schedule on the same recorded history. checker_states is the machine-independent cost metric. The reduction group records the schedule counts of all five reduction modes (off, sleep_sets, sleep_sets_lin_preserving, source_dpor, source_dpor_lin_preserving). The scenario_suite group runs every registered scl-check scenario (crash scenarios included) through the unified engine sequentially (workers=1) and with the parallel monitor-carrying driver (workers=2); interpret wall times against host.available_parallelism. The crash_exploration group enumerates the n=2 speculative-TAS space under a 1-crash budget (crash-stop failures as scheduled transitions) in all five modes; asserted on full runs: every mode exhausts, the race-driven modes never cost representatives over the eager ones, and the crashy space is strictly larger than the crash-free one. The network_exploration group (PR 7) enumerates a one-writer ABD register emulation (2 replicas, majority quorum, retry budget 1) whose message deliveries and drops are scheduled transitions, under a 1-crash + 1-drop fault budget in all five modes plus the unreduced crash-only baseline; asserted on full runs: every mode exhausts the lossy space, drop branching strictly enlarges it over crash-only, and the race-driven modes never cost representatives over the eager ones. The observer group (PR 8) drives the exhaustive n=2 speculative-TAS space three ways: plain_entry (the unobserved entry point), observer_off (the observed entry point with NoObserver, whose empty inline hooks monomorphise to the plain path — asserted within 2% wall on full runs) and observer_on (a live TelemetryObserver; its per-run counter snapshot is embedded as observer.telemetry). The recovery_exploration group (PR 10) enumerates the n=2 recoverable-TAS space under a 1-crash + 1-restart budget in all five modes plus the unreduced crash-only baseline (restarts off); every restart wipes the victim's volatile state and runs the object's recovery routine; asserted on full runs: every mode exhausts the recovery space, restart branching strictly enlarges it over crash-only, and the race-driven modes never cost representatives over the eager ones.\",\n{host},\n  \"recording\": {{\n{}\n  }},\n  \"observer\": {{\n{}\n  }},\n  \"reduction\": {{\n{}\n  }},\n  \"scenario_suite\": {{\n{}\n  }},\n  \"crash_exploration\": {{\n{}\n  }},\n  \"recovery_exploration\": {{\n{}\n  }},\n  \"network_exploration\": {{\n{}\n  }},\n  \"derived\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"description\": \"Per-schedule linearizability checking (PR 4 groups + the PR 6 crash_exploration group): the LinMonitor bridge records the invoke/commit projection incrementally (works under MetricsOnly); incremental = suffix-only Wing-Gong re-checking via frontier states memoised at branch points and interned Copy configs, from_scratch = full Wing-Gong per schedule on the same recorded history. checker_states is the machine-independent cost metric. The reduction group records the schedule counts of all three reduction modes (off, sleep_sets_lin_preserving, source_dpor_lin_preserving). The scenario_suite group runs every registered scl-check scenario (crash scenarios included) through the unified engine sequentially (workers=1) and with the parallel monitor-carrying driver (workers=2); interpret wall times against host.available_parallelism. The crash_exploration group enumerates the n=2 speculative-TAS space under a 1-crash budget (crash-stop failures as scheduled transitions) in all three modes; asserted on full runs: every mode exhausts, the race-driven mode never costs representatives over the eager one, and the crashy space is strictly larger than the crash-free one. The network_exploration group (PR 7) enumerates a one-writer ABD register emulation (2 replicas, majority quorum, retry budget 1) whose message deliveries and drops are scheduled transitions, under a 1-crash + 1-drop fault budget in all three modes plus the unreduced crash-only baseline; asserted on full runs: every mode exhausts the lossy space, drop branching strictly enlarges it over crash-only, and the race-driven mode never costs representatives over the eager one. The observer group (PR 8) drives the exhaustive n=2 speculative-TAS space three ways: plain_entry (the unobserved entry point), observer_off (the observed entry point with NoObserver, whose empty inline hooks monomorphise to the plain path — asserted within 2% wall on full runs) and observer_on (a live TelemetryObserver; its per-run counter snapshot is embedded as observer.telemetry). The recovery_exploration group (PR 10) enumerates the n=2 recoverable-TAS space under a 1-crash + 1-restart budget in all three modes plus the unreduced crash-only baseline (restarts off); every restart wipes the victim's volatile state and runs the object's recovery routine; asserted on full runs: every mode exhausts the recovery space, restart branching strictly enlarges it over crash-only, and the race-driven mode never costs representatives over the eager one.\",\n{host},\n  \"recording\": {{\n{}\n  }},\n  \"observer\": {{\n{}\n  }},\n  \"reduction\": {{\n{}\n  }},\n  \"scenario_suite\": {{\n{}\n  }},\n  \"crash_exploration\": {{\n{}\n  }},\n  \"recovery_exploration\": {{\n{}\n  }},\n  \"network_exploration\": {{\n{}\n  }},\n  \"derived\": {{\n{}\n  }}\n}}\n",
         recording_entries.join(",\n"),
         observer_entries.join(",\n"),
         reduction_entries.join(",\n"),
@@ -822,25 +811,18 @@ fn main() {
                 .expect("measured")
         };
         let off = find("speculative_tas_n2", "off");
-        let plain = find("speculative_tas_n2", "sleep_sets");
         let lin = find("speculative_tas_n2", "sleep_sets_lin_preserving");
-        assert!(plain.schedules <= lin.schedules && lin.schedules < off.schedules);
+        assert!(lin.schedules < off.schedules);
         let n3 = find("speculative_tas_n3_full", "sleep_sets_lin_preserving");
         assert!(
             n3.exhausted,
             "the lin-preserving reduction must still exhaust the full n=3 space"
         );
-        // PR 5: the race-driven modes never cost representatives over their
-        // eager counterparts, and the lin-preserving source mode closes the
-        // reduction gap strictly on n=2.
+        // PR 5: the race-driven mode never costs representatives over its
+        // eager counterpart, and closes the reduction gap strictly on n=2.
         for wl in ["speculative_tas_n2", "speculative_tas_n3_full"] {
-            let source = find(wl, "source_dpor");
             let source_lin = find(wl, "source_dpor_lin_preserving");
-            assert!(
-                source.exhausted && source_lin.exhausted,
-                "{wl}: the source-DPOR modes must exhaust"
-            );
-            assert!(source.schedules <= find(wl, "sleep_sets").schedules, "{wl}");
+            assert!(source_lin.exhausted, "{wl}: source DPOR must exhaust");
             assert!(
                 source_lin.schedules <= find(wl, "sleep_sets_lin_preserving").schedules,
                 "{wl}"
@@ -851,8 +833,8 @@ fn main() {
             "source DPOR must strictly shrink the n=2 lin-preserving space"
         );
         // PR 6: crash branching must actually enlarge the space, every mode
-        // must still exhaust it, and the race-driven modes must stay at or
-        // below their eager counterparts with crash steps in the race
+        // must still exhaust it, and the race-driven mode must stay at or
+        // below its eager counterpart with crash steps in the race
         // relation.
         let crash_find = |mode: &str| {
             crash
@@ -875,15 +857,14 @@ fn main() {
             crash_find("off").schedules,
             off.schedules
         );
-        assert!(crash_find("source_dpor").schedules <= crash_find("sleep_sets").schedules);
         assert!(
             crash_find("source_dpor_lin_preserving").schedules
                 <= crash_find("sleep_sets_lin_preserving").schedules
         );
         // PR 10: restart branching must actually enlarge the crashy space,
-        // every mode must still exhaust it, and the race-driven modes must
-        // stay at or below their eager counterparts with restart steps in
-        // the race relation.
+        // every mode must still exhaust it, and the race-driven mode must
+        // stay at or below its eager counterpart with restart steps in the
+        // race relation.
         let recovery_find = |mode: &str| {
             recovery
                 .iter()
@@ -909,14 +890,13 @@ fn main() {
             recovery_find("off").schedules,
             recovery_crash_baseline.schedules
         );
-        assert!(recovery_find("source_dpor").schedules <= recovery_find("sleep_sets").schedules);
         assert!(
             recovery_find("source_dpor_lin_preserving").schedules
                 <= recovery_find("sleep_sets_lin_preserving").schedules
         );
         // PR 7: drop branching must actually enlarge the network space,
-        // every mode must still exhaust it, and the race-driven modes must
-        // stay at or below their eager counterparts with delivery/drop
+        // every mode must still exhaust it, and the race-driven mode must
+        // stay at or below its eager counterpart with delivery/drop
         // transitions in the race relation.
         let network_find = |mode: &str| {
             network
@@ -943,7 +923,6 @@ fn main() {
             network_find("off").schedules,
             crash_only_baseline.schedules
         );
-        assert!(network_find("source_dpor").schedules <= network_find("sleep_sets").schedules);
         assert!(
             network_find("source_dpor_lin_preserving").schedules
                 <= network_find("sleep_sets_lin_preserving").schedules

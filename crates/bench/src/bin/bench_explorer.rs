@@ -1,28 +1,24 @@
 //! Explorer throughput: schedules/sec, executed work and reduction factors
 //! on fixed speculative-TAS workloads.
 //!
-//! Eleven modes are measured on the same 2–3 process A1/A2 (speculative
+//! Seven modes are measured on the same 2–3 process A1/A2 (speculative
 //! TAS) workloads, in one process and one sitting so the numbers are
 //! comparable:
 //!
-//! * `baseline` — the pre-PR-1 explorer preserved for comparison: a fresh
-//!   [`SharedMemory`], executor session and full event trace per schedule;
 //! * `reused` — full-replay enumeration on a reusable memory + session (the
-//!   PR 1 explorer; [`ResumeMode::FullReplay`] + [`Reduction::Off`]);
+//!   PR 1 explorer; [`ResumeMode::FullReplay`] + [`Reduction::Off`]). On
+//!   the exhaustive n=2 space it executes exactly the steps of the
+//!   pre-PR-1 explorer, whose numbers live in `BENCH_PR1.json`, and it is
+//!   the baseline the derived `*_vs_reused` ratios divide by;
 //! * `metrics_only` — same, with event-trace recording skipped;
 //! * `parallel` — the branch-partitioned explorer with the machine's
 //!   available parallelism;
 //! * `prefix_resume` — [`ResumeMode::PrefixResume`]: backtracking restores a
 //!   checkpoint instead of replaying the prefix (PR 2);
-//! * `sleep_sets` — [`Reduction::SleepSets`]: commuting interleavings are
-//!   explored once (PR 2);
-//! * `combined` — both (the mode that exhausts the *full* n=3 space);
-//! * `sleep_sets_lin` — [`Reduction::SleepSetsLinPreserving`]: the eager
-//!   linearizability-preserving reduction (PR 3);
-//! * `source_dpor` — [`Reduction::SourceDpor`]: race-driven wakeup-set
-//!   seeding instead of eager branching (PR 5);
-//! * `source_dpor_lin` — [`Reduction::SourceDporLinPreserving`]: source
-//!   DPOR with the invoke/commit barriers folded into the race relation;
+//! * `sleep_sets_lin` — [`Reduction::SleepSetsLinPreserving`]: eager sleep
+//!   sets with invoke/commit barriers (PR 3);
+//! * `source_dpor_lin` — [`Reduction::SourceDporLinPreserving`]: race-driven
+//!   wakeup-set seeding instead of eager branching (PR 5);
 //! * `source_combined` — `source_dpor_lin` + prefix-resume (the `scl-check`
 //!   default configuration since PR 5).
 //!
@@ -37,17 +33,17 @@
 //! repetition per cell — the CI guard that keeps the bench binary and the
 //! JSON schema from rotting. The full run asserts the PR 2 and PR 5
 //! acceptance bars: the reduced explorer exhausts the full n=3 space at a
-//! ≥5× step saving, the source-DPOR representative counts never exceed the
-//! corresponding sleep-set counts, and the lin-preserving source-DPOR count
-//! on the exhaustive n=2 space is strictly below the eager mode's 79.
+//! ≥5× step saving over `reused` on n=2, the source-DPOR representative
+//! counts never exceed the sleep-set counts, and the source-DPOR count on
+//! the exhaustive n=2 space is strictly below the eager mode's 79.
 
 use scl_bench::benchjson;
 use scl_core::new_speculative_tas;
 use scl_sim::{
-    explore_schedules_parallel_report, explore_schedules_report, Executor, ExploreConfig,
-    ExploreOutcome, ExploreStats, Reduction, ResumeMode, ScriptedAdversary, SharedMemory, Workload,
+    explore_schedules_parallel_report, explore_schedules_report, ExploreConfig, ExploreOutcome,
+    ExploreStats, Reduction, ResumeMode, Workload,
 };
-use scl_spec::{ProcessId, TasOp, TasSpec, TasSwitch};
+use scl_spec::{TasOp, TasSpec, TasSwitch};
 use std::time::Instant;
 
 #[derive(Debug, Clone, Copy)]
@@ -87,58 +83,6 @@ impl Measurement {
     }
 }
 
-/// The pre-PR-1 explorer, preserved verbatim in spirit: a fresh shared
-/// memory, a fresh executor session and a full trace per schedule.
-/// Enumeration order is identical to the unreduced incremental explorer.
-fn explore_baseline(
-    workload: &Workload<TasSpec, TasSwitch>,
-    config: &ExploreConfig,
-) -> Measurement {
-    let executor = Executor::new().max_ticks(config.max_ticks);
-    let mut schedules: u64 = 0;
-    let mut ticks: u64 = 0;
-    let mut steps: u64 = 0;
-    let mut exhausted = true;
-    let start = Instant::now();
-    let mut stack: Vec<Vec<ProcessId>> = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
-        if schedules >= config.max_schedules {
-            exhausted = false;
-            break;
-        }
-        schedules += 1;
-        let mut mem = SharedMemory::new();
-        let mut object = new_speculative_tas(&mut mem);
-        let prefix_len = prefix.len();
-        let mut adversary = ScriptedAdversary::new(prefix);
-        let result = executor.run(&mut mem, &mut object, workload, &mut adversary);
-        ticks += result.ticks;
-        steps += mem.global_steps();
-        for i in prefix_len..result.decisions.len() {
-            let chosen = result.decisions.chosen_at(i);
-            for &alt in result.decisions.enabled_at(i) {
-                if alt == chosen {
-                    continue;
-                }
-                let mut new_prefix = result.decisions.chosen()[..i].to_vec();
-                new_prefix.push(alt);
-                stack.push(new_prefix);
-            }
-        }
-    }
-    Measurement {
-        schedules,
-        executed_ticks: ticks,
-        executed_steps: steps,
-        replayed_ticks: 0,
-        sleep_blocked: 0,
-        races: 0,
-        race_seeds: 0,
-        exhausted,
-        secs: start.elapsed().as_secs_f64(),
-    }
-}
-
 fn mode_config(mode: &str, max_schedules: u64) -> ExploreConfig {
     let mut config = ExploreConfig {
         max_schedules,
@@ -146,16 +90,10 @@ fn mode_config(mode: &str, max_schedules: u64) -> ExploreConfig {
         ..Default::default()
     };
     match mode {
-        "baseline" | "reused" | "parallel" => {}
+        "reused" | "parallel" => {}
         "metrics_only" => config.metrics_only = true,
         "prefix_resume" => config.resume = ResumeMode::PrefixResume,
-        "sleep_sets" => config.reduction = Reduction::SleepSets,
-        "combined" => {
-            config.reduction = Reduction::SleepSets;
-            config.resume = ResumeMode::PrefixResume;
-        }
         "sleep_sets_lin" => config.reduction = Reduction::SleepSetsLinPreserving,
-        "source_dpor" => config.reduction = Reduction::SourceDpor,
         "source_dpor_lin" => config.reduction = Reduction::SourceDporLinPreserving,
         "source_combined" => {
             config.reduction = Reduction::SourceDporLinPreserving;
@@ -174,7 +112,6 @@ fn measure(mode: &str, n: usize, max_schedules: u64, reps: usize) -> Measurement
     // so the minimum is the fairest frequency-noise filter).
     for _ in 0..reps {
         let m = match mode {
-            "baseline" => explore_baseline(&wl, &config),
             "parallel" => {
                 let start = Instant::now();
                 let report = explore_schedules_parallel_report(
@@ -240,26 +177,15 @@ fn main() {
     // exhaustive. The full n=3 space (>50M schedules) is only tractable for
     // the reduced modes.
     let all: &[&str] = &[
-        "baseline",
         "reused",
         "metrics_only",
         "parallel",
         "prefix_resume",
-        "sleep_sets",
-        "combined",
         "sleep_sets_lin",
-        "source_dpor",
         "source_dpor_lin",
         "source_combined",
     ];
-    let reduced: &[&str] = &[
-        "sleep_sets",
-        "combined",
-        "sleep_sets_lin",
-        "source_dpor",
-        "source_dpor_lin",
-        "source_combined",
-    ];
+    let reduced: &[&str] = &["sleep_sets_lin", "source_dpor_lin", "source_combined"];
     let n2_cap = if smoke { 2_000 } else { 1_000_000 };
     let n3_cap = if smoke { 2_000 } else { 50_000 };
     let full_cap = if smoke { 5_000 } else { u64::MAX };
@@ -278,23 +204,23 @@ fn main() {
             .iter()
             .map(|mode| (mode.to_string(), measure(mode, n, cap, reps)))
             .collect();
-        if results[0].0 == "baseline" {
-            let baseline = results[0].1;
+        if results[0].0 == "reused" {
+            let reused = results[0].1;
             for (mode, m) in &results[1..] {
                 derived.push(format!(
-                    "    \"{wl_name}/{mode}/schedules_per_sec_vs_baseline\": {:.2}",
-                    m.sched_per_sec() / baseline.sched_per_sec()
+                    "    \"{wl_name}/{mode}/schedules_per_sec_vs_reused\": {:.2}",
+                    m.sched_per_sec() / reused.sched_per_sec()
                 ));
                 derived.push(format!(
-                    "    \"{wl_name}/{mode}/executed_steps_saving_vs_baseline\": {:.2}",
-                    baseline.executed_steps as f64 / (m.executed_steps.max(1)) as f64
+                    "    \"{wl_name}/{mode}/executed_steps_saving_vs_reused\": {:.2}",
+                    reused.executed_steps as f64 / (m.executed_steps.max(1)) as f64
                 ));
             }
         }
         let by_mode = |name: &str| results.iter().find(|(m, _)| m == name).map(|(_, v)| *v);
-        if let (Some(full), Some(ss)) = (by_mode("reused"), by_mode("sleep_sets")) {
+        if let (Some(full), Some(ss)) = (by_mode("reused"), by_mode("sleep_sets_lin")) {
             derived.push(format!(
-                "    \"{wl_name}/sleep_set_reduction_factor\": {:.2}",
+                "    \"{wl_name}/sleep_sets_lin_reduction_factor\": {:.2}",
                 full.schedules as f64 / ss.schedules.max(1) as f64
             ));
         }
@@ -322,7 +248,7 @@ fn main() {
 
     let host = benchjson::host_json(smoke, &[]);
     let json = format!(
-        "{{\n  \"description\": \"Explorer work accounting for PR 5: the race-driven source-DPOR reductions (SourceDpor, SourceDporLinPreserving) alongside every earlier mode. Workloads: one TAS op per process on the composed A1*A2 speculative test-and-set. executed_steps counts shared-memory steps actually executed, including backtracking replays, so it is the honest cost metric across modes; schedules under the reduced modes counts the explored representatives of the full space; races/race_seeds count the reversible races the source-DPOR modes detected and the wakeup entries they seeded from them.\",\n  \"units\": {{\"schedules_per_sec\": \"schedules/second\", \"executed_steps_per_sec\": \"shared-memory steps/second\"}},\n{host},\n{},\n  \"derived\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"description\": \"Explorer work accounting: the eager sleep-set reduction (SleepSetsLinPreserving) and the race-driven source-DPOR reduction (SourceDporLinPreserving), both with invoke/commit barriers, beside the unreduced explorer (reused, metrics_only, parallel, prefix_resume). Workloads: one TAS op per process on the composed A1*A2 speculative test-and-set. executed_steps counts shared-memory steps actually executed, including backtracking replays, so it is the honest cost metric across modes; schedules under the reduced modes counts the explored representatives of the full space; races/race_seeds count the reversible races source DPOR detected and the wakeup entries they seeded from them.\",\n  \"units\": {{\"schedules_per_sec\": \"schedules/second\", \"executed_steps_per_sec\": \"shared-memory steps/second\"}},\n{host},\n{},\n  \"derived\": {{\n{}\n  }}\n}}\n",
         sections.join(",\n"),
         derived.join(",\n")
     );
@@ -338,33 +264,26 @@ fn main() {
                 .map(|(_, _, m)| *m)
                 .expect("measured")
         };
-        let full = get("speculative_tas_n3_full", "combined");
+        let full = get("speculative_tas_n3_full", "source_combined");
         assert!(
             full.exhausted,
             "the reduced explorer must exhaust the full n=3 space"
         );
         let (b, c) = (
-            get("speculative_tas_n2", "baseline"),
-            get("speculative_tas_n2", "combined"),
+            get("speculative_tas_n2", "reused"),
+            get("speculative_tas_n2", "source_combined"),
         );
         let saving = b.executed_steps as f64 / c.executed_steps.max(1) as f64;
         assert!(
             saving >= 5.0,
             "the reduced explorer must execute >=5x fewer steps than full replay \
-             on the exhaustive n=2 workload (got {saving:.1}x)"
+             (reused) on the exhaustive n=2 workload (got {saving:.1}x)"
         );
-        // PR 5: race-driven wakeup sets never cost representatives over the
-        // eager sleep-set modes, on any benched workload...
+        // PR 5: race-driven wakeup sets never cost representatives over
+        // eager sleep sets, on any benched workload...
         for wl in ["speculative_tas_n2", "speculative_tas_n3_full"] {
-            let plain = (get(wl, "source_dpor"), get(wl, "sleep_sets"));
             let lin = (get(wl, "source_dpor_lin"), get(wl, "sleep_sets_lin"));
-            assert!(plain.0.exhausted && lin.0.exhausted, "{wl}: must exhaust");
-            assert!(
-                plain.0.schedules <= plain.1.schedules,
-                "{wl}: source_dpor explored {} > sleep_sets {}",
-                plain.0.schedules,
-                plain.1.schedules
-            );
+            assert!(lin.0.exhausted, "{wl}: must exhaust");
             assert!(
                 lin.0.schedules <= lin.1.schedules,
                 "{wl}: source_dpor_lin explored {} > sleep_sets_lin {}",
@@ -372,8 +291,8 @@ fn main() {
                 lin.1.schedules
             );
         }
-        // ...and the lin-preserving gap actually closes on the exhaustive
-        // n=2 space: strictly below the eager mode's 79 representatives.
+        // ...and the gap actually closes on the exhaustive n=2 space:
+        // strictly below the eager mode's 79 representatives.
         let eager_lin = get("speculative_tas_n2", "sleep_sets_lin");
         let source_lin = get("speculative_tas_n2", "source_dpor_lin");
         assert!(

@@ -1,7 +1,6 @@
-//! The explorer ↔ specification bridge: a [`ScheduleMonitor`] that records
-//! invoke/commit events into a [`ConcurrentHistory`] *incrementally* while
-//! the schedule explorer runs, and answers per-schedule linearizability
-//! verdicts.
+//! The explorer ↔ specification bridge: a [`ScheduleMonitor`] that feeds
+//! invoke/commit events to a linearizability checker *incrementally* while
+//! the schedule explorer runs, and answers per-schedule verdicts.
 //!
 //! Before this bridge existed, every test that wanted a linearizability
 //! verdict per schedule called `res.trace.commit_projection()` in its check
@@ -9,20 +8,25 @@
 //! scratch for every explored schedule, and requiring full trace recording.
 //! The bridge instead:
 //!
-//! * maintains **one** [`ConcurrentHistory`] per worker for the whole
-//!   exploration, rewound by high-water-mark truncation whenever the
-//!   explorer restores a checkpoint (the PR 1 allocation-free discipline);
 //! * works under [`TraceMode::MetricsOnly`](scl_sim::TraceMode) — events are
 //!   taken from the executor's [`TickEmission`] stream, not from the trace;
 //! * in [`CheckerMode::Incremental`], feeds the events to an
 //!   [`IncrementalLinChecker`] whose frontier is memoised at branch points,
 //!   so backtracking re-checks only the suffix of each schedule instead of
-//!   re-running the checker from tick 0.
+//!   re-running the checker from tick 0;
+//! * in [`CheckerMode::FromScratch`] (the reference the incremental checker
+//!   is tested against), records the events into **one**
+//!   [`ConcurrentHistory`] per worker for the whole exploration, rewound by
+//!   high-water-mark truncation whenever the explorer restores a checkpoint,
+//!   and re-runs the Wing–Gong search on it per schedule.
+//!
+//! Each mode keeps exactly one record of the execution: the incremental
+//! checker's frontier or the history, never both.
 
 use scl_sim::{ExecSession, OpOutcome, ScheduleMonitor, TickEmission};
 use scl_spec::{
     check_linearizable_with_stats, check_strict_linearizable_with_stats, ConcurrentHistory,
-    HistoryMark, IncVerdict, IncrementalLinChecker, LinCheckResult, SequentialSpec,
+    HistoryMark, IncVerdict, IncrementalLinChecker, LinCheckResult, RequestId, SequentialSpec,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -35,8 +39,8 @@ pub enum CheckerMode {
     #[default]
     Incremental,
     /// Re-run the from-scratch Wing–Gong search on the (incrementally
-    /// maintained, allocation-reusing) history at every leaf. The baseline
-    /// the incremental mode is measured against in `bench_check`.
+    /// maintained, allocation-reusing) history at every leaf. The reference
+    /// the incremental mode is tested and measured against.
     FromScratch,
 }
 
@@ -91,15 +95,27 @@ impl CrashedPending {
     }
 }
 
+/// A [`LinMonitor`] mark's position in the record its checker mode keeps.
+#[derive(Debug, Clone, Copy)]
+enum Position {
+    /// An [`IncrementalLinChecker::mark`] token.
+    Checker(u64),
+    /// A [`ConcurrentHistory::mark`].
+    History(HistoryMark),
+}
+
 /// See the [module documentation](self).
 pub struct LinMonitor<S: SequentialSpec> {
     spec: S,
     mode: CheckerMode,
     crashed_pending: CrashedPending,
+    /// The recorded history ([`CheckerMode::FromScratch`] only; stays empty
+    /// in incremental mode).
     hist: ConcurrentHistory<S>,
+    /// The incremental checker ([`CheckerMode::Incremental`] only).
     inc: IncrementalLinChecker<S>,
-    /// Stack of (token, history mark, incremental-checker token).
-    marks: Vec<(u64, HistoryMark, u64)>,
+    /// Stack of (token, position in the mode's record).
+    marks: Vec<(u64, Position)>,
     next_token: u64,
     /// Checker states expanded by [`CheckerMode::FromScratch`] verdicts.
     scratch_states: u64,
@@ -135,11 +151,6 @@ impl<S: SequentialSpec> LinMonitor<S> {
     /// The crashed-pending closure mode.
     pub fn crashed_pending(&self) -> CrashedPending {
         self.crashed_pending
-    }
-
-    /// The history of the execution currently being observed.
-    pub fn history(&self) -> &ConcurrentHistory<S> {
-        &self.hist
     }
 
     /// Total checker states expanded so far (across the whole exploration):
@@ -208,6 +219,26 @@ impl<S: SequentialSpec> LinMonitor<S> {
             }
         }
     }
+
+    /// Records the response `resp` of operation `id` in the mode's record.
+    fn commit(&mut self, incremental: bool, id: RequestId, resp: &S::Resp) {
+        if incremental {
+            self.inc.commit(id, resp);
+        } else {
+            let at = self.hist.event_count();
+            self.hist.record_response(at, id, resp.clone());
+        }
+    }
+
+    /// Records a crash deadline for operation `id` in the mode's record.
+    fn crash(&mut self, incremental: bool, id: RequestId) {
+        if incremental {
+            self.inc.crash(id);
+        } else {
+            let at = self.hist.event_count();
+            self.hist.record_crash(at, id);
+        }
+    }
 }
 
 impl<S, V> ScheduleMonitor<S, V> for LinMonitor<S>
@@ -216,34 +247,33 @@ where
     V: Clone + Eq + Hash + Debug,
 {
     fn begin(&mut self) {
-        self.hist.clear();
-        self.inc.begin();
+        match self.mode {
+            CheckerMode::Incremental => self.inc.begin(),
+            CheckerMode::FromScratch => self.hist.clear(),
+        }
         self.marks.clear();
     }
 
     fn observe(&mut self, session: &ExecSession<S, V>) {
+        let incremental = self.mode == CheckerMode::Incremental;
+        // `event_count` is a dense clock over recorded events, so relative
+        // order (all the from-scratch checker consumes) matches the trace's.
         match session.last_emission() {
             TickEmission::Invoked { op_index } => {
-                let req = session.result().ops[op_index].req.clone();
-                // `event_count` is a dense clock over recorded events, so
-                // relative order (all the checker consumes) matches the
-                // trace's.
-                let at = self.hist.event_count();
-                if self.mode == CheckerMode::Incremental {
-                    self.inc.invoke(&req);
+                let req = &session.result().ops[op_index].req;
+                if incremental {
+                    self.inc.invoke(req);
+                } else {
+                    let at = self.hist.event_count();
+                    self.hist.record_invoke(at, req.clone());
                 }
-                self.hist.record_invoke(at, req);
             }
             TickEmission::Committed { op_index } => {
                 let record = &session.result().ops[op_index];
                 let Some(OpOutcome::Commit(resp)) = &record.outcome else {
                     unreachable!("Committed emission always carries a commit outcome");
                 };
-                let at = self.hist.event_count();
-                if self.mode == CheckerMode::Incremental {
-                    self.inc.commit(record.req.id, resp);
-                }
-                self.hist.record_response(at, record.req.id, resp.clone());
+                self.commit(incremental, record.req.id, resp);
             }
             TickEmission::Crashed { op_index } => {
                 // Under the open closure a crashed-pending op is just a
@@ -254,12 +284,7 @@ where
                 // deadline is the recovery completion, consumed below.
                 if self.crashed_pending == CrashedPending::Strict {
                     if let Some(op_index) = op_index {
-                        let id = session.result().ops[op_index].req.id;
-                        let at = self.hist.event_count();
-                        if self.mode == CheckerMode::Incremental {
-                            self.inc.crash(id);
-                        }
-                        self.hist.record_crash(at, id);
+                        self.crash(incremental, session.result().ops[op_index].req.id);
                     }
                 }
             }
@@ -279,15 +304,10 @@ where
                     let Some(OpOutcome::Commit(resp)) = &record.outcome else {
                         unreachable!("a resolving recovery always commits the op");
                     };
-                    let at = self.hist.event_count();
-                    if self.mode == CheckerMode::Incremental {
-                        self.inc.commit(id, resp);
-                    }
-                    self.hist.record_response(at, id, resp.clone());
+                    self.commit(incremental, id, resp);
                     return;
                 }
                 // The recovery completed without resolving the operation.
-                let at = self.hist.event_count();
                 match self.crashed_pending {
                     // Open: still just a pending op. Strict: the crash point
                     // (recorded at the Crashed emission) already caps it.
@@ -295,18 +315,15 @@ where
                     // Durable: the op may be lost, but not take effect after
                     // its owner recovered — a strict-style deadline at the
                     // recovery completion.
-                    CrashedPending::Durable => {
-                        if self.mode == CheckerMode::Incremental {
-                            self.inc.crash(id);
-                        }
-                        self.hist.record_crash(at, id);
-                    }
+                    CrashedPending::Durable => self.crash(incremental, id),
                     // Recoverable: the op must have taken effect by now.
                     CrashedPending::Recoverable => {
-                        if self.mode == CheckerMode::Incremental {
+                        if incremental {
                             self.inc.recovered_required(id);
+                        } else {
+                            let at = self.hist.event_count();
+                            self.hist.record_crash_required(at, id);
                         }
-                        self.hist.record_crash_required(at, id);
                     }
                 }
             }
@@ -327,28 +344,27 @@ where
     fn mark(&mut self) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
-        let inc_token = if self.mode == CheckerMode::Incremental {
-            self.inc.mark()
-        } else {
-            0
+        let position = match self.mode {
+            CheckerMode::Incremental => Position::Checker(self.inc.mark()),
+            CheckerMode::FromScratch => Position::History(self.hist.mark()),
         };
-        self.marks.push((token, self.hist.mark(), inc_token));
+        self.marks.push((token, position));
         token
     }
 
     fn rewind_to(&mut self, mark: u64) {
-        while let Some(&(token, _, _)) = self.marks.last() {
+        while let Some(&(token, _)) = self.marks.last() {
             if token > mark {
                 self.marks.pop();
             } else {
                 break;
             }
         }
-        let &(token, hist_mark, inc_token) = self.marks.last().expect("mark exists");
+        let &(token, position) = self.marks.last().expect("mark exists");
         assert_eq!(token, mark, "rewound to an unknown monitor mark");
-        self.hist.truncate_to(hist_mark);
-        if self.mode == CheckerMode::Incremental {
-            self.inc.rewind_to(inc_token);
+        match position {
+            Position::Checker(t) => self.inc.rewind_to(t),
+            Position::History(m) => self.hist.truncate_to(m),
         }
     }
 }

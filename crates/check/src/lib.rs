@@ -26,12 +26,15 @@
 //!   reduction/resume/checker/budget flags and emits a JSON report
 //!   (`--smoke` runs the whole registry under tiny bounds in CI).
 //!
-//! The reduced modes matter here: `Reduction::SleepSets` explicitly does
-//! *not* preserve real-time order, so it may miss (or, harmlessly, can never
-//! invent) linearizability counterexamples that depend only on event order.
-//! [`scl_sim::Reduction::SleepSetsLinPreserving`] closes that gap with
-//! invoke/commit barrier footprints; the oracle tests in `tests/` verify it
-//! against unreduced enumeration.
+//! The reductions matter here: a reduction that keeps only final states
+//! may miss linearizability counterexamples that depend only on event
+//! order. Both reduced modes,
+//! [`scl_sim::Reduction::SleepSetsLinPreserving`] and
+//! [`scl_sim::Reduction::SourceDporLinPreserving`] (the default), add
+//! invoke/commit barrier footprints to the dependence relation so every
+//! pruned schedule keeps an explored representative with the same
+//! verdict; the oracle tests in `tests/` verify both against unreduced
+//! enumeration ([`scl_sim::Reduction::Off`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1653,9 +1653,7 @@ where
 pub fn reduction_values() -> &'static [(&'static str, Reduction)] {
     &[
         ("off", Reduction::Off),
-        ("sleep-sets", Reduction::SleepSets),
         ("sleep-sets-lin", Reduction::SleepSetsLinPreserving),
-        ("source-dpor", Reduction::SourceDpor),
         ("source-dpor-lin", Reduction::SourceDporLinPreserving),
     ]
 }
@@ -1768,9 +1766,7 @@ where
 pub fn reduction_name(r: Reduction) -> &'static str {
     match r {
         Reduction::Off => "off",
-        Reduction::SleepSets => "sleep_sets",
         Reduction::SleepSetsLinPreserving => "sleep_sets_lin_preserving",
-        Reduction::SourceDpor => "source_dpor",
         Reduction::SourceDporLinPreserving => "source_dpor_lin_preserving",
     }
 }
@@ -1810,7 +1806,7 @@ mod tests {
         // listed name must parse to its mode, and every mode must have a
         // report name (reduction_name is a total match, so adding an enum
         // variant without a table entry fails to compile or fails here).
-        assert_eq!(reduction_values().len(), 5);
+        assert_eq!(reduction_values().len(), 3);
         for (name, r) in reduction_values() {
             assert_eq!(parse_reduction(name), Some(*r));
             assert!(!reduction_name(*r).is_empty());
@@ -1826,6 +1822,9 @@ mod tests {
             assert_eq!(c.name(), *name);
         }
         assert_eq!(parse_reduction("bogus"), None);
+        // The final-state-only modes are gone for good.
+        assert_eq!(parse_reduction("sleep-sets"), None);
+        assert_eq!(parse_reduction("source-dpor"), None);
         assert_eq!(parse_resume("bogus"), None);
         assert_eq!(parse_checker("bogus"), None);
         assert_eq!(parse_crashed_pending("bogus"), None);
@@ -1839,15 +1838,21 @@ mod tests {
             unknown_value_message("scenario", "spec_tas_n3_raeltime", names()),
             "unknown scenario `spec_tas_n3_raeltime`; did you mean `spec_tas_n3_realtime`?"
         );
-        // A flag-value typo resolves against the value table, preferring the
-        // closer of the two dpor modes.
+        // A flag-value typo resolves against the value table.
+        let reductions = || reduction_values().iter().map(|(n, _)| *n);
         assert_eq!(
-            unknown_value_message(
-                "--reduction value",
-                "sorce-dpor",
-                reduction_values().iter().map(|(n, _)| *n),
-            ),
-            "unknown --reduction value `sorce-dpor`; did you mean `source-dpor`?"
+            unknown_value_message("--reduction value", "sorce-dpor", reductions()),
+            "unknown --reduction value `sorce-dpor`; did you mean `source-dpor-lin`?"
+        );
+        // The removed final-state-only modes point at their verdict-keeping
+        // successors.
+        assert_eq!(
+            unknown_value_message("--reduction value", "sleep-sets", reductions()),
+            "unknown --reduction value `sleep-sets`; did you mean `sleep-sets-lin`?"
+        );
+        assert_eq!(
+            unknown_value_message("--reduction value", "source-dpor", reductions()),
+            "unknown --reduction value `source-dpor`; did you mean `source-dpor-lin`?"
         );
         // Garbage gets no suggestion — just the pointer to --list.
         assert_eq!(

@@ -164,9 +164,7 @@ fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
     let scenario = find("a1_dropped_raw_fence_n2").expect("registered");
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
@@ -197,8 +195,8 @@ fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
 fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
     // The pinned finding: the n=3 composition admits a loser whose interval
     // precedes the winner's. It must be found under full enumeration and
-    // still under the linearizability-preserving reduction (a plain
-    // final-state check cannot see it; that is the whole point of the mode).
+    // still under both reductions (a final-state check cannot see it; the
+    // invoke/commit barriers are what keep it).
     let scenario = find("spec_tas_n3_realtime").expect("registered");
     for reduction in [
         Reduction::Off,
@@ -533,14 +531,11 @@ fn recovery_aware_reductions_have_the_full_verdict_set_on_recoverable_tas() {
 #[test]
 fn recovery_mutant_is_detected_in_every_mode() {
     // The blind-winner recovery bug is a *final-state* violation (two
-    // committed winners), so even the non-lin-preserving reductions must
-    // find it — they preserve reachable final states.
+    // committed winners), which every reduction preserves.
     let scenario = find("recovery_tas_mutant_n2").expect("registered");
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {

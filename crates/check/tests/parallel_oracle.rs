@@ -9,10 +9,8 @@
 //! so schedule counts are compared too. The wave-parallel source-DPOR
 //! driver explores a deterministic sibling-ordering refinement of the
 //! sequential tree — identical equivalence-class coverage, possibly
-//! different representatives — so there the comparison is on exactly what
-//! each mode preserves: outcome signatures under `SourceDpor`, full
-//! outcome+verdict signatures under `SourceDporLinPreserving` (where the
-//! verdict is class-invariant).
+//! different representatives — so there only the outcome+verdict
+//! signatures (which are class-invariant) are compared.
 
 use scl_check::{CheckerMode, LinMonitor};
 use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
@@ -28,35 +26,19 @@ use std::sync::Mutex;
 type Wl = Workload<TasSpec, TasSwitch>;
 
 /// A canonical per-schedule verdict signature: every operation's outcome
-/// plus (when `with_verdict`) the bridge's linearizability verdict (message
-/// included, so the two engines must agree on *what* they report, not just
-/// whether they pass). The verdict is dropped for `Reduction::SourceDpor`,
-/// whose contract only preserves outcomes.
-fn signature(
-    res: &ExecutionResult<TasSpec, TasSwitch>,
-    verdict: &Result<(), String>,
-    with_verdict: bool,
-) -> String {
+/// plus the bridge's linearizability verdict (message included, so the two
+/// engines must agree on *what* they report, not just whether they pass).
+fn signature(res: &ExecutionResult<TasSpec, TasSwitch>, verdict: &Result<(), String>) -> String {
     let mut ops: Vec<String> = res
         .ops
         .iter()
         .map(|o| format!("{}={:?}", o.req.id, o.outcome))
         .collect();
     ops.sort();
-    if !with_verdict {
-        return ops.join(",");
-    }
     match verdict {
         Ok(()) => format!("{}|lin=ok", ops.join(",")),
         Err(e) => format!("{}|lin=err:{e}", ops.join(",")),
     }
-}
-
-/// What the oracle compares for a reduction: the verdict-bearing signature
-/// wherever the mode preserves verdicts, outcome-only signatures for plain
-/// `SourceDpor`.
-fn verdict_in_signature(reduction: Reduction) -> bool {
-    reduction != Reduction::SourceDpor
 }
 
 fn config(reduction: Reduction, resume: ResumeMode, threads: usize) -> ExploreConfig {
@@ -82,7 +64,6 @@ where
 {
     let mut monitor = LinMonitor::new(TasSpec, checker);
     let mut set = BTreeSet::new();
-    let with_verdict = verdict_in_signature(reduction);
     let report = explore_schedules_monitored_report(
         setup,
         wl,
@@ -90,7 +71,7 @@ where
         &mut monitor,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
-            set.insert(signature(res, &verdict, with_verdict));
+            set.insert(signature(res, &verdict));
             Ok(())
         },
     );
@@ -114,7 +95,6 @@ where
 {
     let set = Mutex::new(BTreeSet::new());
     let factory = move || LinMonitor::new(TasSpec, checker);
-    let with_verdict = verdict_in_signature(reduction);
     let (report, monitors) = explore_schedules_parallel_monitored_report(
         setup,
         wl,
@@ -122,9 +102,7 @@ where
         &factory,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
-            set.lock()
-                .unwrap()
-                .insert(signature(res, &verdict, with_verdict));
+            set.lock().unwrap().insert(signature(res, &verdict));
             Ok(())
         },
     );
@@ -146,19 +124,16 @@ where
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
         Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
                 let (seq_set, seq_schedules) =
                     sequential_signatures(&setup, &wl, reduction, resume, checker);
-                if expect_violating_signatures && verdict_in_signature(reduction) {
+                if expect_violating_signatures {
                     // Sanity: the mutant's two-winner histories are visible
-                    // in every mode (two winners is a final-state property,
-                    // which even plain sleep sets preserve).
+                    // in every mode.
                     assert!(
                         seq_set.iter().any(|s| s.contains("lin=err")),
                         "{reduction:?}/{resume:?}/{checker:?}: no violating signature"

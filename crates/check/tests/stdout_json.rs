@@ -1,8 +1,8 @@
 //! CLI contract tests: `scl-check --json -` keeps stdout machine-parseable
 //! (all diagnostics on stderr), emitted JSON documents are well-formed,
 //! telemetry counters ride along in reports (including time-budget partial
-//! reports), and the artifact → replay pipeline works end to end through
-//! the real binary.
+//! reports), the artifact → replay pipeline works end to end through
+//! the real binary, and removed `--reduction` values fail cleanly.
 
 use scl_check::{parse_json, Json};
 use std::process::Command;
@@ -139,6 +139,61 @@ fn tampered_artifacts_fail_replay_loudly() {
         "a verdict mismatch must fail the replay"
     );
     assert!(String::from_utf8_lossy(&replay.stderr).contains("VERDICT MISMATCH"));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_reduction_values_exit_2_with_a_suggestion() {
+    for (removed, successor) in [
+        ("sleep-sets", "sleep-sets-lin"),
+        ("source-dpor", "source-dpor-lin"),
+    ] {
+        let out = scl_check()
+            .args(["spec_tas_n2", "--reduction", removed])
+            .output()
+            .expect("scl-check runs");
+        assert_eq!(out.status.code(), Some(2), "--reduction {removed}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("did you mean `{successor}`?")),
+            "--reduction {removed}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn artifacts_naming_a_removed_reduction_fail_replay_cleanly() {
+    let dir = std::env::temp_dir().join(format!("scl-artifacts-removed-{}", std::process::id()));
+    let out = scl_check()
+        .args([
+            "a1_dropped_raw_fence_n2",
+            "--artifacts",
+            dir.to_str().expect("utf-8 temp dir"),
+        ])
+        .output()
+        .expect("scl-check runs");
+    assert!(out.status.success());
+    let path = dir.join("a1_dropped_raw_fence_n2.trace.json");
+    let text = std::fs::read_to_string(&path).expect("artifact written");
+    for removed in ["sleep-sets", "source-dpor"] {
+        let old = text.replace(
+            "\"reduction\": \"source-dpor-lin\"",
+            &format!("\"reduction\": \"{removed}\""),
+        );
+        assert_ne!(old, text, "the rewrite must hit the recorded reduction");
+        std::fs::write(&path, old).expect("rewrite artifact");
+        let replay = scl_check()
+            .args(["replay", path.to_str().expect("utf-8 path")])
+            .output()
+            .expect("scl-check replay runs");
+        assert_eq!(replay.status.code(), Some(2), "{removed}: not a clean exit");
+        let stderr = String::from_utf8_lossy(&replay.stderr);
+        assert!(
+            stderr.contains(&format!("unknown reduction `{removed}`")),
+            "{removed}: {stderr}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -33,15 +33,17 @@
 //!
 //! # Pruning: [`Reduction`]
 //!
-//! With [`Reduction::SleepSets`] the explorer additionally prunes schedules
-//! that are guaranteed to lead to already-covered states, using the
-//! sleep-set partial-order reduction driven by per-step access footprints
-//! ([`crate::memory::Footprint`]). The [`Reduction::SourceDpor`] modes go
-//! further: instead of branching eagerly on every enabled sibling, they
-//! detect the reversible races of each executed schedule (happens-before
-//! tracking in [`crate::hb`]) and seed backtrack/wakeup entries only where
-//! a race reversal is realisable. See [`Reduction`] for the per-mode
-//! soundness contracts.
+//! Every reduced mode keeps an explored representative for each pruned
+//! schedule with the same operation outcomes *and* the same invoke/commit
+//! precedence, so per-schedule linearizability verdicts lose nothing.
+//! [`Reduction::SleepSetsLinPreserving`] prunes with eager sleep sets
+//! driven by per-step access footprints ([`crate::memory::Footprint`]) plus
+//! invoke/commit barriers. [`Reduction::SourceDporLinPreserving`] goes
+//! further: instead of branching eagerly on every enabled sibling, it
+//! detects the reversible races of each executed schedule (happens-before
+//! tracking in [`crate::hb`]) and seeds backtrack/wakeup entries only where
+//! a race reversal is realisable. See [`Reduction`] for the soundness
+//! contract.
 //!
 //! # Throughput
 //!
@@ -67,37 +69,25 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How the explorer prunes the scheduling tree.
+///
+/// Every `scl-check` scenario checks a commit projection for
+/// linearizability, so both reduced modes preserve per-schedule
+/// linearizability verdicts, not just final states; [`Reduction::Off`]
+/// remains the enumeration oracle they are tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
     /// Enumerate every schedule (the oracle mode).
     #[default]
     Off,
-    /// Sleep-set partial-order reduction: after exploring the subtree in
-    /// which process `p` moves first at a decision point, sibling subtrees
-    /// put `p` "to sleep" and never schedule it until some executed step is
-    /// *dependent* with `p`'s pending step (same register, at least one
-    /// write — see [`Footprint::dependent`]). Schedules that differ only in
-    /// the order of commuting steps are explored once.
-    ///
-    /// # Soundness contract
-    ///
-    /// Every reachable *final state* (register contents, step counters,
-    /// operation outcomes) of a complete execution is still reached by at
-    /// least one explored schedule, so checks over final states and outcome
-    /// sets lose nothing. What is **not** preserved is the bookkeeping that
-    /// distinguishes commuting interleavings: trace event *order* (and thus
-    /// real-time precedence between operations of different processes),
-    /// contention metrics (`foreign_steps`, `overlapping_ops`), and register
-    /// identities allocated lazily mid-execution. Checks that depend on
-    /// those must run under [`Reduction::Off`], which remains the oracle
-    /// that this mode is tested against.
-    SleepSets,
-    /// Sleep sets with *invoke/commit barrier footprints*: in addition to
-    /// the shared-memory dependence of [`Reduction::SleepSets`], a
-    /// transition that may emit a **response** event (its operation's next
-    /// step may finish — [`crate::OpExecution::may_respond_next`]) is
-    /// treated as dependent with every other process's **invocation**
-    /// transition, and vice versa.
+    /// Sleep-set partial-order reduction with *invoke/commit barrier
+    /// footprints*. After exploring the subtree in which process `p` moves
+    /// first at a decision point, sibling subtrees put `p` "to sleep" and
+    /// never schedule it until some executed step is *dependent* with `p`'s
+    /// pending step: same register with at least one write (see
+    /// [`Footprint::dependent`]), or — the barriers — a transition that may
+    /// emit a **response** event (its operation's next step may finish,
+    /// [`crate::OpExecution::may_respond_next`]) against another process's
+    /// **invocation** transition, and vice versa.
     ///
     /// # Why this preserves linearizability verdicts
     ///
@@ -109,78 +99,51 @@ pub enum Reduction {
     /// transition move no event, and invocation–invocation or
     /// response–response swaps reorder only event pairs the precedence
     /// relation ignores. Every pruned schedule is therefore equivalent to an
-    /// explored one with the *same* operation outcomes **and** the same
+    /// explored one with the *same* final state, operation outcomes **and**
     /// invoke/commit precedence relation — per-schedule linearizability
     /// verdicts (and any check over outcomes plus real-time precedence) lose
     /// nothing. The POR oracle tests in `scl-check` verify this against full
     /// enumeration.
     ///
-    /// Contention metrics and register identities allocated mid-execution
-    /// are still *not* preserved (as under [`Reduction::SleepSets`]).
+    /// Contention metrics (`foreign_steps`, `overlapping_ops`) and register
+    /// identities allocated lazily mid-execution are *not* preserved;
+    /// checks that depend on those must run under [`Reduction::Off`].
     SleepSetsLinPreserving,
-    /// Source DPOR (Abdulla et al., POPL 2014): instead of branching
-    /// eagerly on every enabled sibling, the explorer tracks
-    /// happens-before over the *executed* transition stream
+    /// Source DPOR (Abdulla et al., POPL 2014) over the same dependence
+    /// relation: instead of branching eagerly on every enabled sibling, the
+    /// explorer tracks happens-before over the *executed* transition stream
     /// ([`crate::hb::HbTracker`] over per-tick [`crate::memory::StepLabel`]s),
     /// detects the reversible races of each explored schedule, and seeds a
     /// backtrack/wakeup entry only at prefixes where a race reversal is
-    /// realisable (a weak initial of the non-dependent suffix). Sleep sets
-    /// keep running on top with the same wake rule, so explored complete
-    /// schedules are never equivalent; the race-driven seeding then makes
-    /// the branch set a *source set* rather than "every enabled process".
-    ///
-    /// # Soundness contract
-    ///
-    /// Identical to [`Reduction::SleepSets`] (every reachable final state /
-    /// outcome set is still reached; trace order, contention metrics and
-    /// mid-run register identities are not preserved), at a representative
-    /// count that is never larger — race detection works on exact executed
-    /// labels, where the eager explorer must branch first and prune later.
-    SourceDpor,
-    /// [`Reduction::SourceDpor`] with the invoke/commit barrier footprints
-    /// of [`Reduction::SleepSetsLinPreserving`] folded into the race
-    /// relation: a transition that emitted a response event races with
-    /// other processes' invocation transitions (and vice versa), so every
-    /// pruned schedule keeps an explored representative with the same
-    /// outcomes *and* the same invoke/commit precedence — per-schedule
-    /// linearizability verdicts lose nothing (same contract as
-    /// [`Reduction::SleepSetsLinPreserving`], oracle-tested in `scl-check`).
+    /// realisable (a weak initial of the non-dependent suffix). A transition
+    /// that emitted a response event races with other processes' invocation
+    /// transitions (and vice versa), so the soundness contract is that of
+    /// [`Reduction::SleepSetsLinPreserving`]. Sleep sets keep running on top
+    /// with the same wake rule, so explored complete schedules are never
+    /// equivalent; the race-driven seeding then makes the branch set a
+    /// *source set* rather than "every enabled process".
     ///
     /// This is where the race-driven seeding pays most: the sleep-set wake
     /// rule must treat a step that *may* respond
     /// ([`crate::OpExecution::may_respond_next`], an over-approximation) as
     /// a barrier, while race detection sees whether the executed step
     /// actually responded — so the reduced space is strictly smaller than
-    /// the eager lin-preserving mode's wherever the may-analysis is
-    /// imprecise.
+    /// the eager mode's wherever the may-analysis is imprecise.
     SourceDporLinPreserving,
 }
 
 impl Reduction {
     /// Whether this mode runs the sleep-set machinery (every reduced mode
-    /// does: the source-DPOR modes layer race-driven branching *under* the
-    /// same sleep sets).
+    /// does: source DPOR layers race-driven branching *under* the same
+    /// sleep sets).
     pub fn uses_sleep_sets(self) -> bool {
         self != Reduction::Off
-    }
-
-    /// Whether this mode adds the invoke/commit barrier footprints (to the
-    /// sleep-set wake rule, and — in the source-DPOR mode — to the race
-    /// relation).
-    pub fn preserves_lin(self) -> bool {
-        matches!(
-            self,
-            Reduction::SleepSetsLinPreserving | Reduction::SourceDporLinPreserving
-        )
     }
 
     /// Whether this mode seeds backtrack points from detected races instead
     /// of branching eagerly on every enabled sibling.
     pub fn is_source_dpor(self) -> bool {
-        matches!(
-            self,
-            Reduction::SourceDpor | Reduction::SourceDporLinPreserving
-        )
+        self == Reduction::SourceDporLinPreserving
     }
 }
 
@@ -289,18 +252,6 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The fast mode: sleep-set reduction combined with prefix-resume
-    /// backtracking (the configuration that makes the full n=3 spaces
-    /// tractable). Subject to the [`Reduction::SleepSets`] soundness
-    /// contract.
-    pub fn reduced() -> Self {
-        ExploreConfig {
-            reduction: Reduction::SleepSets,
-            resume: ResumeMode::PrefixResume,
-            ..Default::default()
-        }
-    }
-
     pub(crate) fn executor(&self) -> Executor {
         Executor::new()
             .max_ticks(self.max_ticks)
@@ -635,7 +586,7 @@ struct Checkpoint<S: SequentialSpec, V> {
 }
 
 /// One branch point of the DFS: the decision depth, the untried siblings
-/// (under the eager sleep-set modes every non-sleeping alternative,
+/// (under eager sleep sets every non-sleeping alternative,
 /// ascending, popped from the back so the visit order matches the replay
 /// explorer of PR 1; under source DPOR initially empty, filled lazily by
 /// race seeding), and the sleep-set bookkeeping.
@@ -799,15 +750,12 @@ where
             spare_mem: Vec::new(),
             object_gen: 0,
             enabled_buf: Vec::new(),
-            // Unused (and never pushed to) outside the source-DPOR modes.
-            hb: HbTracker::new(
-                if config.reduction.is_source_dpor() {
-                    workload.processes()
-                } else {
-                    0
-                },
-                config.reduction.preserves_lin(),
-            ),
+            // Unused (and never pushed to) outside the source-DPOR mode.
+            hb: HbTracker::new(if config.reduction.is_source_dpor() {
+                workload.processes()
+            } else {
+                0
+            }),
             race_buf: Vec::new(),
             escaped: Vec::new(),
             subtree_start: 0,
@@ -821,7 +769,7 @@ where
 
     /// Rebuilds the execution state for the first `depth` decisions of
     /// `self.path` by replaying them from tick 0. The monitor is restarted
-    /// and re-observes the replayed prefix; under the source-DPOR modes the
+    /// and re-observes the replayed prefix; under source DPOR the
     /// happens-before stream is rebuilt alongside (the same single pass
     /// computes each replayed event's races, which are discarded — they
     /// were already processed when those transitions first executed).
@@ -872,10 +820,9 @@ where
 
     /// Executes one scheduling decision and applies the sleep-set wake rule:
     /// any sleeping process whose pending step is dependent with the step
-    /// just executed is woken. Under
-    /// [`Reduction::SleepSetsLinPreserving`] the rule additionally treats
-    /// response emissions and invocations of different processes as
-    /// dependent (invoke/commit barrier footprints).
+    /// just executed is woken — shared-memory dependence, plus the
+    /// invoke/commit barriers that treat response emissions and invocations
+    /// of different processes as dependent.
     fn exec_tick(&mut self, chosen: ProcessId) {
         let steps_before = self.mem.global_steps();
         self.executor.tick(
@@ -902,7 +849,6 @@ where
         if self.cur_sleep != 0 {
             let fp = self.session.last_step_footprint();
             let label = step_label(&self.session, chosen, n, cap);
-            let lin = self.config.reduction.preserves_lin();
             // An executed *restart* wakes every sleeper. A restart re-enables
             // a disabled process, and the commuted order — run the sleeping
             // transition first, restart afterwards — may not exist in the
@@ -942,11 +888,10 @@ where
                 } else if i >= n {
                     // A sleeping *crash* transition of process `i - n`: a
                     // crash is dependent with every step of its own
-                    // process, and — under the lin-preserving modes — with
-                    // other processes' invocations (the strict
-                    // crashed-pending verdict orders crashes against
+                    // process, and with other processes' invocations (the
+                    // strict crashed-pending verdict orders crashes against
                     // invocations; see [`crate::hb::step_label`]).
-                    i - n == label.proc.index() || (lin && label.invoked)
+                    i - n == label.proc.index() || label.invoked
                 } else {
                     let q = ProcessId(i);
                     // `label.proc` is the decoded real process, so an
@@ -955,8 +900,8 @@ where
                     // would never wake anyone).
                     (chosen.index() >= n && label.proc == q)
                         || self.session.next_footprint(q).dependent(fp)
-                        || (lin && label.responded && self.session.next_is_invocation(q))
-                        || (lin && label.invoked && self.session.next_may_respond(q))
+                        || (label.responded && self.session.next_is_invocation(q))
+                        || (label.invoked && self.session.next_may_respond(q))
                 };
                 if wake {
                     self.cur_sleep &= !(1u64 << i);
@@ -1177,10 +1122,10 @@ where
                 },
             };
             // A branch node exists wherever some sibling transition is
-            // awake. The eager sleep-set modes queue every awake sibling up
+            // awake. Eager sleep sets queue every awake sibling up
             // front (ascending; popped from the back, so siblings are
             // visited in descending order — the PR 1 DFS order); the
-            // source-DPOR modes start the backtrack set empty and let race
+            // source-DPOR mode starts the backtrack set empty and lets race
             // detection fill it — except for network deliveries, which are
             // queued eagerly in *every* mode: race seeding targets the next
             // step of a real process, while a delivery is a one-shot
@@ -1337,7 +1282,7 @@ where
                     self.stats.schedules += 1;
                     self.obs.schedule_completed(self.session.depth());
                     // The happens-before stream covers the whole schedule
-                    // only in the source-DPOR modes; elsewhere there is no
+                    // only under source DPOR; elsewhere there is no
                     // class fingerprint to report.
                     if self.config.reduction.is_source_dpor() && self.obs.wants_hb_classes() {
                         self.obs.hb_class(self.hb.fingerprint());
@@ -1582,29 +1527,28 @@ struct BranchReport {
 ///   to run. Size `max_schedules` to cover the tree when determinism of
 ///   the violation matters.
 ///
-/// Under [`Reduction::SleepSets`] each branch ticket carries the sleep set
-/// in force at its branch point, so the union of the workers' subtrees is
-/// exactly the sequential reduced tree.
+/// Under [`Reduction::SleepSetsLinPreserving`] each branch ticket carries
+/// the sleep set in force at its branch point, so the union of the
+/// workers' subtrees is exactly the sequential reduced tree.
 ///
-/// Under the [`Reduction::SourceDpor`] modes the harvested tickets are the
-/// wakeup entries race detection seeded along the root schedule, and the
-/// exploration proceeds in **waves**: a race whose branch node lies inside
-/// a worker's forced prefix escapes to the coordinator, which filters the
-/// seed against the node's explored/sleep state and mints a new ticket for
-/// the next wave, until no seed survives. Every wave is a pure function of
-/// the ticket list, so the explored tree and the reported violation are
-/// deterministic — but the tree is a (deterministic) sibling-ordering
-/// refinement of the sequential one, so under these two modes the parallel
-/// engine guarantees identical *equivalence-class coverage* (final states,
-/// outcomes — and invoke/commit precedence under
-/// [`Reduction::SourceDporLinPreserving`]) rather than an identical
-/// representative list, and its deterministic violation may be a different
-/// — equally real — representative than the sequential engine's. The
-/// refined tree can also be larger: every wave's extra schedules detect
-/// extra races, which mint extra tickets (observed: identical counts on
-/// the n=2 spaces and the plain n=3 space, ~2.2× on the full n=3
-/// lin-preserving space). Prefer the sequential engine for representative
-/// counting; the parallel engine buys wall-clock on multi-core hosts.
+/// Under [`Reduction::SourceDporLinPreserving`] the harvested tickets are
+/// the wakeup entries race detection seeded along the root schedule, and
+/// the exploration proceeds in **waves**: a race whose branch node lies
+/// inside a worker's forced prefix escapes to the coordinator, which
+/// filters the seed against the node's explored/sleep state and mints a
+/// new ticket for the next wave, until no seed survives. Every wave is a
+/// pure function of the ticket list, so the explored tree and the reported
+/// violation are deterministic — but the tree is a (deterministic)
+/// sibling-ordering refinement of the sequential one, so under this mode
+/// the parallel engine guarantees identical *equivalence-class coverage*
+/// (final states, outcomes and invoke/commit precedence) rather than an
+/// identical representative list, and its deterministic violation may be a
+/// different — equally real — representative than the sequential engine's.
+/// The refined tree can also be larger: every wave's extra schedules detect
+/// extra races, which mint extra tickets (observed: identical counts on the
+/// n=2 spaces, ~2.2× on the full n=3 space). Prefer the sequential engine
+/// for representative counting; the parallel engine buys wall-clock on
+/// multi-core hosts.
 ///
 /// Because the check runs concurrently it must be `Fn + Sync` (the
 /// sequential API accepts `FnMut`).
@@ -1713,7 +1657,7 @@ where
 
     // Harvest branch tickets in sequential DFS visit order: deepest decision
     // first, siblings in descending order, with sleep sets accumulating over
-    // earlier-visited siblings. Under the source-DPOR modes the harvested
+    // earlier-visited siblings. Under source DPOR the harvested
     // alts are the wakeup entries race detection seeded along the root
     // schedule, and per-node coordinator state is kept so seeds escaping
     // from worker subtrees can join them in later waves.
@@ -1772,7 +1716,7 @@ where
     };
 
     // Tickets are processed in waves: the harvested root branches first,
-    // then — in the source-DPOR modes — the tickets minted from the race
+    // then — under source DPOR — the tickets minted from the race
     // seeds that escaped the previous wave's subtrees, until no new seed
     // survives the per-node explored/sleep filter. Eager modes never escape
     // a seed, so they run exactly one wave.
@@ -1954,7 +1898,7 @@ where
     }
 
     // Deterministic merge: first violating branch in ticket issue order
-    // wins (for the eager modes that order is exactly the sequential DFS
+    // wins (for eager sleep sets that order is exactly the sequential DFS
     // visit order; the source-DPOR waves are a deterministic refinement of
     // it). Every ticket of every executed wave yields a report (abandoned
     // branches report `violation: None, exhausted: false`).
@@ -2160,9 +2104,7 @@ mod tests {
         let mut configs = Vec::new();
         for reduction in [
             Reduction::Off,
-            Reduction::SleepSets,
             Reduction::SleepSetsLinPreserving,
-            Reduction::SourceDpor,
             Reduction::SourceDporLinPreserving,
         ] {
             for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
@@ -2299,7 +2241,7 @@ mod tests {
             },
             &wl,
             &ExploreConfig {
-                reduction: Reduction::SleepSets,
+                reduction: Reduction::SleepSetsLinPreserving,
                 ..Default::default()
             },
             lin_check,
@@ -2328,7 +2270,7 @@ mod tests {
             },
             &wl,
             &ExploreConfig {
-                reduction: Reduction::SleepSets,
+                reduction: Reduction::SleepSetsLinPreserving,
                 ..Default::default()
             },
             lin_check,
@@ -2338,7 +2280,11 @@ mod tests {
                 flag: mem.alloc("flag", Value::FALSE),
             },
             &wl,
-            &ExploreConfig::reduced(),
+            &ExploreConfig {
+                reduction: Reduction::SleepSetsLinPreserving,
+                resume: ResumeMode::PrefixResume,
+                ..Default::default()
+            },
             lin_check,
         );
         assert_eq!(replay.outcome, combined.outcome);
@@ -2580,7 +2526,7 @@ mod tests {
 
     #[test]
     fn parallel_explorer_exhausts_the_same_schedule_count_in_every_mode() {
-        // The source-DPOR modes are excluded here: their wave-parallel
+        // Source DPOR is excluded here: its wave-parallel
         // driver explores a deterministic tree that covers the same
         // equivalence classes as the sequential one but may pick different
         // representatives (see
@@ -2652,38 +2598,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lin_preserving_reduction_sits_between_plain_sleep_sets_and_off() {
-        let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        let count = |reduction| {
-            let report = explore_schedules_report(
-                |mem| SwapTas {
-                    flag: mem.alloc("flag", Value::FALSE),
-                },
-                &wl,
-                &ExploreConfig {
-                    reduction,
-                    resume: ResumeMode::PrefixResume,
-                    ..Default::default()
-                },
-                lin_check,
-            );
-            assert!(matches!(
-                report.outcome,
-                Ok(ExploreOutcome::Exhausted { .. })
-            ));
-            report.stats.schedules
-        };
-        let off = count(Reduction::Off);
-        let plain = count(Reduction::SleepSets);
-        let lin = count(Reduction::SleepSetsLinPreserving);
-        assert!(
-            plain <= lin,
-            "barriers can only add schedules: {plain} {lin}"
-        );
-        assert!(lin < off, "barriers must still prune: {lin} {off}");
-    }
-
     /// A schedule-order-invariant fingerprint of a finished execution:
     /// final register file plus per-process outcomes — everything a
     /// commuting-step reordering preserves.
@@ -2732,19 +2646,17 @@ mod tests {
             (report.stats, states)
         };
         let (off, off_states) = run(Reduction::Off);
-        let (sleep, sleep_states) = run(Reduction::SleepSets);
-        let (source, source_states) = run(Reduction::SourceDpor);
-        let (source_lin, source_lin_states) = run(Reduction::SourceDporLinPreserving);
+        let (sleep, sleep_states) = run(Reduction::SleepSetsLinPreserving);
+        let (source, source_states) = run(Reduction::SourceDporLinPreserving);
         // Race-driven branching never adds representatives over eager
         // branching with the same relation...
         assert!(source.schedules <= sleep.schedules);
-        assert!(source_lin.schedules < off.schedules);
+        assert!(source.schedules < off.schedules);
         assert!(source.races > 0 && source.race_seeds > 0);
         // ...wastes (much) less work on sleep-blocked continuations...
         assert!(source.sleep_blocked <= sleep.sleep_blocked);
         // ...and still reaches every final state of the full enumeration.
         assert_eq!(off_states, source_states);
-        assert_eq!(off_states, source_lin_states);
         assert_eq!(off_states, sleep_states);
     }
 
@@ -2756,54 +2668,53 @@ mod tests {
         // classes — compared here on the class-invariant final-state
         // fingerprints.
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let base = ExploreConfig {
-                    reduction,
-                    resume,
-                    ..Default::default()
+        let reduction = Reduction::SourceDporLinPreserving;
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let base = ExploreConfig {
+                reduction,
+                resume,
+                ..Default::default()
+            };
+            let mut seq_states = std::collections::BTreeSet::new();
+            let seq = explore_schedules_report(
+                |mem| SwapTas {
+                    flag: mem.alloc("flag", Value::FALSE),
+                },
+                &wl,
+                &base,
+                |res, mem| {
+                    seq_states.insert(fingerprint(res, mem));
+                    Ok(())
+                },
+            );
+            assert!(matches!(seq.outcome, Ok(ExploreOutcome::Exhausted { .. })));
+            for threads in [2usize, 4] {
+                let config = ExploreConfig {
+                    threads,
+                    ..base.clone()
                 };
-                let mut seq_states = std::collections::BTreeSet::new();
-                let seq = explore_schedules_report(
-                    |mem| SwapTas {
+                let par_states = Mutex::new(std::collections::BTreeSet::new());
+                let par = explore_schedules_parallel_report(
+                    |mem: &mut SharedMemory| SwapTas {
                         flag: mem.alloc("flag", Value::FALSE),
                     },
                     &wl,
-                    &base,
+                    &config,
                     |res, mem| {
-                        seq_states.insert(fingerprint(res, mem));
+                        par_states.lock().unwrap().insert(fingerprint(res, mem));
                         Ok(())
                     },
                 );
-                assert!(matches!(seq.outcome, Ok(ExploreOutcome::Exhausted { .. })));
-                for threads in [2usize, 4] {
-                    let config = ExploreConfig {
-                        threads,
-                        ..base.clone()
-                    };
-                    let par_states = Mutex::new(std::collections::BTreeSet::new());
-                    let par = explore_schedules_parallel_report(
-                        |mem: &mut SharedMemory| SwapTas {
-                            flag: mem.alloc("flag", Value::FALSE),
-                        },
-                        &wl,
-                        &config,
-                        |res, mem| {
-                            par_states.lock().unwrap().insert(fingerprint(res, mem));
-                            Ok(())
-                        },
-                    );
-                    assert!(
-                        matches!(par.outcome, Ok(ExploreOutcome::Exhausted { .. })),
-                        "threads={threads} {reduction:?}/{resume:?}: {:?}",
-                        par.outcome
-                    );
-                    assert_eq!(
-                        seq_states,
-                        par_states.into_inner().unwrap(),
-                        "threads={threads} {reduction:?}/{resume:?}"
-                    );
-                }
+                assert!(
+                    matches!(par.outcome, Ok(ExploreOutcome::Exhausted { .. })),
+                    "threads={threads} {reduction:?}/{resume:?}: {:?}",
+                    par.outcome
+                );
+                assert_eq!(
+                    seq_states,
+                    par_states.into_inner().unwrap(),
+                    "threads={threads} {reduction:?}/{resume:?}"
+                );
             }
         }
     }
@@ -2812,12 +2723,12 @@ mod tests {
     /// always claims to have read 5, touching only an unrelated register, so
     /// every *outcome* is schedule-independent but the history is
     /// linearizable only when the read does not complete before the write is
-    /// invoked. Plain sleep sets treat the two processes as fully
-    /// independent and explore a single interleaving (which passes);
-    /// [`Reduction::SleepSetsLinPreserving`] keeps the response↔invocation
-    /// orderings apart and must find the violation.
+    /// invoked. Shared-memory dependence alone treats the two processes as
+    /// fully independent and would explore a single interleaving (which
+    /// passes); the invoke/commit barriers keep the response↔invocation
+    /// orderings apart, so every reduction must find the violation.
     #[test]
-    fn order_only_violation_is_missed_by_plain_sleep_sets_and_caught_by_lin_preserving() {
+    fn order_only_violation_is_caught_by_every_reduction() {
         use scl_spec::{RegisterOp, RegisterSpec};
 
         struct ConstReadReg {
@@ -2913,12 +2824,6 @@ mod tests {
         // Full enumeration sees the violating order (read commits before the
         // write is invoked).
         assert!(run(Reduction::Off).is_err());
-        // Plain sleep sets prune it away: every outcome is order-independent,
-        // so the whole sibling subtree is (correctly, per its contract)
-        // considered covered. Plain source DPOR explores a subset of that
-        // tree and misses it the same way.
-        assert!(run(Reduction::SleepSets).is_ok());
-        assert!(run(Reduction::SourceDpor).is_ok());
         // The invoke/commit barriers keep the distinction alive — in the
         // eager mode through the wake rule, in the source mode through the
         // response↔invocation race relation.

@@ -2,7 +2,7 @@
 //! over the executed transition stream, reversible-race detection, and the
 //! weak-initials computation that seeds wakeup/backtrack sets.
 //!
-//! The sleep-set reductions in [`crate::explore`] prune *already-covered*
+//! The eager sleep-set reduction in [`crate::explore`] prunes *already-covered*
 //! sibling subtrees but still branch eagerly at every decision point. Source
 //! DPOR (Abdulla, Aronis, Jonsson, Sagonas, *Optimal dynamic partial order
 //! reduction*, POPL 2014 — the "source sets" half, without wakeup trees)
@@ -14,8 +14,8 @@
 //!   exact footprint, exact invoke/response emissions — see
 //!   [`crate::executor::ExecSession::last_step_footprint`]) and stamped with
 //!   a **vector clock** over the dependence relation (program order plus
-//!   [`StepLabel::dependent`], with the invoke/commit barriers folded in
-//!   for the linearizability-preserving variant);
+//!   [`StepLabel::dependent`], which folds in the invoke/commit barriers
+//!   that keep linearizability verdicts);
 //! * a pair `(i, j)` is a **reversible race** when the two transitions
 //!   belong to different processes, are dependent, and `i` happens-before
 //!   `j` *only* through their direct dependence — no intermediate event
@@ -95,8 +95,8 @@ where
         TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
         // A crash emits no trace event, but the strict crashed-pending
         // verdict is sensitive to its order against other processes'
-        // invocations, so the lin-preserving modes must treat it like a
-        // response barrier.
+        // invocations, so the reductions must treat it like a response
+        // barrier.
         TickEmission::Crashed { .. } => (false, true),
         // A restart is a conservative barrier like a crash, and a
         // recovery completion is a genuine response event under the
@@ -137,9 +137,6 @@ where
 #[derive(Debug, Clone)]
 pub struct HbTracker {
     procs: usize,
-    /// Whether the invoke/commit barrier footprints are part of the
-    /// dependence relation ([`StepLabel::dependent`]'s `lin_barriers`).
-    lin_barriers: bool,
     labels: Vec<StepLabel>,
     /// Flat per-event vector clocks, stride `procs`:
     /// `clocks[e * procs + p]` is the number of events of process `p` that
@@ -150,14 +147,13 @@ pub struct HbTracker {
 
 impl HbTracker {
     /// A fresh tracker for `procs` processes.
-    pub fn new(procs: usize, lin_barriers: bool) -> Self {
+    pub fn new(procs: usize) -> Self {
         assert!(
             procs <= 64,
             "the race-driven reduction supports at most 64 processes"
         );
         HbTracker {
             procs,
-            lin_barriers,
             labels: Vec::new(),
             clocks: Vec::new(),
         }
@@ -221,7 +217,7 @@ impl HbTracker {
             .rev()
         {
             let pi = li.proc.index();
-            if join[pi] >= row[pi] || !li.dependent(label, self.lin_barriers) {
+            if join[pi] >= row[pi] || !li.dependent(label) {
                 continue;
             }
             for (dst, &src) in join.iter_mut().zip(row) {
@@ -382,16 +378,14 @@ mod tests {
     /// transitive witness, and initials rescan `v` for a predecessor.
     struct Reference {
         procs: usize,
-        lin_barriers: bool,
         labels: Vec<StepLabel>,
         clocks: Vec<u32>,
     }
 
     impl Reference {
-        fn new(procs: usize, lin_barriers: bool) -> Self {
+        fn new(procs: usize) -> Self {
             Reference {
                 procs,
-                lin_barriers,
                 labels: Vec::new(),
                 clocks: Vec::new(),
             }
@@ -411,7 +405,7 @@ mod tests {
             let base = j * self.procs;
             self.clocks.resize(base + self.procs, 0);
             for i in 0..j {
-                if self.labels[i].dependent(label, self.lin_barriers) {
+                if self.labels[i].dependent(label) {
                     let (head, tail) = self.clocks.split_at_mut(base);
                     let src = &head[i * self.procs..(i + 1) * self.procs];
                     for (dst, &s) in tail.iter_mut().zip(src) {
@@ -435,7 +429,7 @@ mod tests {
                 .filter(|&i| {
                     let li = self.labels[i];
                     li.proc != lj.proc
-                        && li.dependent(lj, self.lin_barriers)
+                        && li.dependent(lj)
                         && !(i + 1..j)
                             .any(|k| self.happens_before(i, k) && self.happens_before(k, j))
                 })
@@ -499,9 +493,8 @@ mod tests {
         let mut races_seen = 0usize;
         for stream in 0..1_000 {
             let n = 1 + stream % 8;
-            let lin = stream % 2 == 1;
-            let mut hb = HbTracker::new(n, lin);
-            let mut reference = Reference::new(n, lin);
+            let mut hb = HbTracker::new(n);
+            let mut reference = Reference::new(n);
             let len = 1 + rng.next_below(40);
             let mut pushed = 0;
             while pushed < len {
@@ -550,7 +543,7 @@ mod tests {
 
     #[test]
     fn unknown_footprints_are_ordered_with_everything() {
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         push(&mut hb, step(0, Footprint::Unknown));
         push(&mut hb, step(1, Footprint::Pure));
         push(&mut hb, step(2, Footprint::Read(RegId(0))));
@@ -570,7 +563,7 @@ mod tests {
     #[test]
     fn per_process_counters_stay_concurrent_on_disjoint_registers() {
         let (a, b) = (RegId(0), RegId(1));
-        let mut hb = HbTracker::new(2, false);
+        let mut hb = HbTracker::new(2);
         push(&mut hb, step(0, Footprint::Write(a)));
         push(&mut hb, step(0, Footprint::Write(a)));
         let races = push(&mut hb, step(1, Footprint::Write(b)));
@@ -593,7 +586,7 @@ mod tests {
         // p0: W(a); p1: W(a); p2: W(a). The (0, 2) pair is ordered through
         // event 1, so the reversible races are exactly (0, 1) and (1, 2).
         let a = RegId(0);
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         push(&mut hb, step(0, Footprint::Write(a)));
         assert_eq!(push(&mut hb, step(1, Footprint::Write(a))), vec![0]);
         assert_eq!(
@@ -608,7 +601,7 @@ mod tests {
         // p0: W(a); p1: W(b); p2: W(c); p3: one Unknown step. The three
         // writes are mutually independent, so each races with the last
         // event directly.
-        let mut hb = HbTracker::new(4, false);
+        let mut hb = HbTracker::new(4);
         for q in 0..3 {
             push(&mut hb, step(q, Footprint::Write(RegId(q))));
         }
@@ -622,7 +615,7 @@ mod tests {
         // p0: W(a); p1: W(b); p2: R(a). Race (0, 2); v = [W(b), R(a)].
         // Both p1's and p2's first events are front-movable.
         let (a, b) = (RegId(0), RegId(1));
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         push(&mut hb, step(0, Footprint::Write(a)));
         push(&mut hb, step(1, Footprint::Write(b)));
         assert_eq!(push(&mut hb, step(2, Footprint::Read(a))), vec![0]);
@@ -631,7 +624,7 @@ mod tests {
         // p0: W(a); p1: W(b); p2: R(b); p2: R(a). Race (0, 3);
         // v = [W(b), R(b), R(a)] and p2's first event in v (the R(b))
         // happens-after p1's W(b), so only p1 is an initial.
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         push(&mut hb, step(0, Footprint::Write(a)));
         push(&mut hb, step(1, Footprint::Write(b)));
         push(&mut hb, step(2, Footprint::Read(b)));
@@ -640,16 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn invoke_commit_barriers_race_only_with_lin_barriers() {
-        let mk = |lin| {
-            let mut hb = HbTracker::new(2, lin);
+    fn invoke_commit_barriers_race_across_processes() {
+        let mk = |responded, invoked| {
+            let mut hb = HbTracker::new(2);
             push(
                 &mut hb,
                 StepLabel {
                     proc: p(0),
                     footprint: Footprint::Pure,
                     invoked: false,
-                    responded: true,
+                    responded,
                 },
             );
             push(
@@ -657,20 +650,24 @@ mod tests {
                 StepLabel {
                     proc: p(1),
                     footprint: Footprint::Pure,
-                    invoked: true,
+                    invoked,
                     responded: false,
                 },
             )
         };
-        assert!(mk(false).is_empty(), "plain mode: pure steps never race");
-        assert_eq!(mk(true), vec![0], "lin mode: response vs invocation races");
+        assert!(mk(false, false).is_empty(), "silent pure steps never race");
+        assert!(
+            mk(true, false).is_empty(),
+            "a response races no silent step"
+        );
+        assert_eq!(mk(true, true), vec![0], "response vs invocation races");
     }
 
     #[test]
     fn fingerprint_is_mazurkiewicz_invariant() {
         let (a, b) = (RegId(0), RegId(1));
         let trace = |steps: &[(usize, Footprint)]| {
-            let mut hb = HbTracker::new(2, false);
+            let mut hb = HbTracker::new(2);
             for &(q, fp) in steps {
                 push(&mut hb, step(q, fp));
             }
@@ -693,7 +690,7 @@ mod tests {
     #[test]
     fn truncate_rewinds_the_event_stream() {
         let a = RegId(0);
-        let mut hb = HbTracker::new(2, false);
+        let mut hb = HbTracker::new(2);
         push(&mut hb, step(0, Footprint::Write(a)));
         push(&mut hb, step(1, Footprint::Write(a)));
         hb.truncate(1);

@@ -285,20 +285,19 @@ impl StepLabel {
     ///
     /// Transitions of the same process are always dependent (program order).
     /// Across processes the base relation is shared-memory dependence of the
-    /// footprints ([`Footprint::dependent`]); with `lin_barriers` the
-    /// invoke/commit *barrier footprints* of the linearizability-preserving
-    /// reductions are folded in: a transition that emitted a response event
-    /// is additionally dependent with every other process's
-    /// invocation-emitting transition (and vice versa), because swapping
-    /// such a pair changes the real-time precedence of the commit
-    /// projection.
-    pub fn dependent(self, other: StepLabel, lin_barriers: bool) -> bool {
+    /// footprints ([`Footprint::dependent`]), with the invoke/commit
+    /// *barrier footprints* of the linearizability-preserving reductions
+    /// folded in: a transition that emitted a response event is additionally
+    /// dependent with every other process's invocation-emitting transition
+    /// (and vice versa), because swapping such a pair changes the real-time
+    /// precedence of the commit projection.
+    pub fn dependent(self, other: StepLabel) -> bool {
         if self.proc == other.proc {
             return true;
         }
         self.footprint.dependent(other.footprint)
-            || (lin_barriers
-                && ((self.invoked && other.responded) || (self.responded && other.invoked)))
+            || (self.invoked && other.responded)
+            || (self.responded && other.invoked)
     }
 }
 

@@ -45,8 +45,8 @@ pub struct ReplayLog {
     /// The replayed transitions, in schedule order.
     pub ticks: Vec<ReplayTick>,
     /// Reversible racing pairs `(i, j)` over tick indices, as detected by
-    /// [`HbTracker::push`] with the lin barriers matching the
-    /// recorded reduction.
+    /// [`HbTracker::push`] — the explorer's race relation, invoke/commit
+    /// barriers included.
     pub races: Vec<(usize, usize)>,
     /// Which processes ended the execution crashed.
     pub crashed: Vec<bool>,
@@ -81,8 +81,7 @@ pub enum ReplayOutcome {
 /// outcome together with the (possibly partial, on divergence) replay log.
 ///
 /// `config` supplies the execution parameters the schedule was recorded
-/// under — tick limit, trace mode, partition, and the reduction whose lin
-/// barriers shape the race relation reported in the log. Budgets
+/// under — tick limit, trace mode and partition. Budgets
 /// (`max_schedules`, `max_crashes`, `max_drops`) are *not* re-validated:
 /// the schedule is replayed verbatim.
 pub fn replay_schedule<S, V, O, M, FSetup, FCheck>(
@@ -121,7 +120,7 @@ where
     };
     executor.begin(&mut session, workload);
     monitor.begin();
-    let mut hb = HbTracker::new(n, config.reduction.preserves_lin());
+    let mut hb = HbTracker::new(n);
     let mut race_buf: Vec<usize> = Vec::new();
     for (i, &id) in schedule.iter().enumerate() {
         let kind = StepKind::decode(id, n, cap);
